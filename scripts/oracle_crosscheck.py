@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Randomized cross-validation of the independent evaluation routes.
 
-Four blocks: determinant evaluators against each other on random specs,
+Five blocks: determinant evaluators against each other on random specs,
 the size-4 polynomial expansion, tiling counts against sequence terms,
-and series coefficients against determinant sequences.  One PASS/FAIL
-line per block; exit 1 on any disagreement.
+the C-finite route against the expansion recurrence on random rules, and
+series coefficients against determinant sequences.  One PASS/FAIL line
+per block; exit 1 on any disagreement.
 """
 
 import argparse
@@ -19,6 +20,7 @@ from tridet import (
     det_dense,
     det_prefixes,
     det_recurrence,
+    det_sequence,
     det_trudi_compositions,
     det_trudi_partitions,
     expand_rational,
@@ -90,6 +92,34 @@ def tilings_match(rng: random.Random, trials: int) -> bool:
     return ok
 
 
+def cfinite_matches(rng: random.Random, trials: int) -> bool:
+    orders = {
+        "gen-tribonacci": range(3, 11),
+        "gen-padovan": range(3, 11),
+        "square-rmino": range(2, 11),
+        "skip-tribonacci": range(3, 11, 2),
+        "k-step-fibonacci": range(2, 11),
+        "q-sequence": range(2, 11),
+    }
+    kinds = [SequenceKind(f) for f in ("fibonacci", "tribonacci", "padovan")]
+    kinds += [SequenceKind(f, r) for f, rs in orders.items() for r in rs]
+    ok = True
+    for _ in range(trials):
+        kind = rng.choice(kinds)
+        rule = EntryRule(
+            kind,
+            rng.randint(0, (kind.r or 3) + 3),
+            rng.randint(1, 4),
+            rng.choice((1, -1, 2, -2, 3, -3)),
+        )
+        spec = make_entries(rule, rng.randint(1, 80))
+        expected = det_prefixes(spec)
+        if det_sequence(spec) != expected or det_recurrence(spec) != expected[-1]:
+            print("  disagreement on %r, n=%d" % (rule, spec.n))
+            ok = False
+    return ok
+
+
 def series_match() -> bool:
     rows = []
     for r in range(3, 9):
@@ -134,6 +164,10 @@ def main() -> int:
     ok &= report(
         "tiling counts match sequence terms on %d random draws" % args.trials,
         tilings_match(rng, args.trials),
+    )
+    ok &= report(
+        "C-finite route matches the expansion recurrence on %d random rules" % args.trials,
+        cfinite_matches(rng, args.trials),
     )
     ok &= report("series coefficients match determinant sequences", series_match())
     return 0 if ok else 1

@@ -1,8 +1,9 @@
 """Exact Toeplitz-Hessenberg determinants over tribonacci-style entry families.
 
 Everything is integer arithmetic end to end: determinants come from the
-expansion recurrence, two Trudi-style summation formulas, and fraction-free
-elimination; identities are checked by exact equality only.
+entries' linear recurrence (C-finite route), the expansion recurrence, two
+Trudi-style summation formulas, and fraction-free elimination; identities
+are checked by exact equality only.
 """
 
 from .combinatorics import binomial, compositions, multinomial, partitions
@@ -12,6 +13,7 @@ from .determinant import (
     det_dense,
     det_prefixes,
     det_recurrence,
+    det_sequence,
     det_trudi_compositions,
     det_trudi_partitions,
     make_entries,
@@ -56,6 +58,7 @@ __all__ = [
     "det_dense",
     "det_prefixes",
     "det_recurrence",
+    "det_sequence",
     "det_trudi_compositions",
     "det_trudi_partitions",
     "make_entries",

@@ -320,11 +320,21 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # exact results may have any number of digits: lift the int->str cap of
+    # CPython >= 3.10.7 for the handler only, so parsing keeps it and
+    # in-process callers get their setting back
+    capped = hasattr(sys, "set_int_max_str_digits")
+    if capped:
+        cap = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    finally:
+        if capped:
+            sys.set_int_max_str_digits(cap)
 
 
 def main() -> None:

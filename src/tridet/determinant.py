@@ -1,19 +1,30 @@
 """Exact evaluators for Toeplitz-Hessenberg determinants.
 
 The matrix is lower Hessenberg with constant diagonals: superdiagonal a0,
-first column a1..an, entry (i, j) = a_(i-j+1) for j <= i.  Four independent
-evaluation routes are provided so results can cross-certify each other:
-a first-row expansion recurrence, two combinatorial expansions (over
-partitions and over compositions), and fraction-free dense elimination.
+first column a1..an, entry (i, j) = a_(i-j+1) for j <= i.  Independent
+evaluation routes cross-certify each other:
+
+- det_recurrence / det_sequence: for a spec built by make_entries, the
+  C-finite route.  The entries obey a linear recurrence with
+  characteristic polynomial Q, so their series is P/Q and the
+  determinants are the coefficients of Q(-a0 x) / (Q(-a0 x) - x P(-a0 x)),
+  read off in O(n*L) integer steps (L = order of the recurrence).
+- det_prefixes: first-row expansion in O(n^2), the oracle for the
+  C-finite route and the route for specs without a rule.
+- det_trudi_partitions, det_trudi_compositions: combinatorial expansions
+  over partitions and over compositions.
+- det_dense: fraction-free dense elimination.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from collections import deque
+from dataclasses import dataclass, field
+from operator import mul
+from typing import Iterator, List, Optional, Tuple
 
 from .combinatorics import compositions, multinomial, partitions
-from .sequences import SequenceKind, seq_range
+from .sequences import SequenceKind, extend_terms, seeds_and_lags
 
 TRUDI_PARTITION_CAP = 45
 COMPOSITION_CAP = 20
@@ -25,10 +36,13 @@ class HessenbergSpec:
     """Superdiagonal constant a0 plus the entry vector a1..an.
 
     n = 0 (empty entry vector) denotes the empty matrix, determinant 1.
+    rule is the EntryRule make_entries drew the entries from, if any; it
+    selects the C-finite route and takes no part in equality.
     """
 
     a0: int
     entries: Tuple[int, ...]
+    rule: Optional[EntryRule] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.a0 == 0:
@@ -62,21 +76,44 @@ class EntryRule:
             raise ValueError("superdiagonal constant a0 must be nonzero")
 
 
+# make_entries steps the recurrence this many terms at a time between trims
+_CHUNK = 256
+
+
 def make_entries(rule: EntryRule, n: int) -> HessenbergSpec:
-    """Materialize the first n entries of a rule as a HessenbergSpec."""
+    """Materialize the first n entries of a rule as a HessenbergSpec.
+
+    Steps the family recurrence in a local window, trimmed to the last L
+    terms after each chunk, and keeps every stride-th term; the shared
+    sequence memo is not touched.
+    """
     if n < 1:
         raise ValueError("entry vector needs n >= 1, got %d" % n)
-    top = rule.start + (n - 1) * rule.stride
-    terms = seq_range(rule.kind, 0, top)
-    entries = tuple(terms[rule.start + i * rule.stride] for i in range(n))
-    return HessenbergSpec(rule.a0, entries)
+    seeds, lags = seeds_and_lags(rule.kind)
+    keep = max(lags)
+    start, stride = rule.start, rule.stride
+    top = start + (n - 1) * stride
+    terms = list(seeds)
+    base = 0  # family index of terms[0]
+    entries: List[int] = []
+    while True:
+        extend_terms(terms, lags, min(top + 1 - base - len(terms), _CHUNK))
+        index = start + len(entries) * stride
+        entries += terms[index - base : top + 1 - base : stride]
+        if len(entries) == n:
+            return HessenbergSpec(rule.a0, tuple(entries), rule)
+        # every later entry lies past the last term, so older terms can go
+        cut = len(terms) - keep
+        del terms[:cut]
+        base += cut
 
 
 def det_prefixes(spec: HessenbergSpec) -> List[int]:
     """Determinants of all leading sections: [det(M_0), ..., det(M_n)].
 
     det(M_m) = sum_{k=1..m} (-a0)^(k-1) * a_k * det(M_(m-k)), det(M_0) = 1.
-    One O(n^2) pass serves every prefix size at once.
+    One O(n^2) pass serves every prefix size at once; it uses nothing but
+    the entries, which makes it the oracle for the C-finite route.
     """
     a0, a = spec.a0, spec.entries
     dets = [1]
@@ -90,9 +127,87 @@ def det_prefixes(spec: HessenbergSpec) -> List[int]:
     return dets
 
 
+def annihilator(rule: EntryRule) -> List[int]:
+    """Coefficients q_0 = 1, q_1..q_L of a polynomial Q that annihilates the entries.
+
+    sum_j q_j * a_(k+1-j) = 0 for every k >= L, where L is the family's
+    largest lag (every family's seed block is exactly that long, so this
+    holds from the first entry).  For stride 1, Q = 1 - sum x^lag.  For
+    stride s, Q(x^s) is the product of Q_1(w x) over the s-th roots of
+    unity w, found from Newton power sums: the power sums of Q are those
+    of Q_1 at multiples of s.
+    """
+    _, lags = seeds_and_lags(rule.kind)
+    order = max(lags)
+    base = [1] + [0] * order
+    for lag in lags:
+        base[lag] -= 1
+    s = rule.stride
+    if s == 1:
+        return base
+    # p_k = -k q_k - sum_{i<k} p_i q_(k-i) gives the power sums of base
+    sums = [0]
+    for k in range(1, s * order + 1):
+        acc = -k * base[k] if k <= order else 0
+        for i in range(max(1, k - order), k):
+            acc -= sums[i] * base[k - i]
+        sums.append(acc)
+    # and k q_k = -sum_{i=1..k} p_i q_(k-i) recovers Q from p_s, p_2s, ...
+    q = [1]
+    for k in range(1, order + 1):
+        acc = -sum(sums[s * i] * q[k - i] for i in range(1, k + 1))
+        q.append(acc // k)
+    return q
+
+
+def _cfinite(spec: HessenbergSpec) -> Iterator[int]:
+    """det(M_0), ..., det(M_n) of a rule-built spec, holding an L-term window."""
+    q = annihilator(spec.rule)
+    order = len(q) - 1
+    a, n = spec.entries, spec.n
+    # P = (entries * Q) mod x^L; the coefficients from x^L on must vanish
+    p = [sum(map(mul, q[k::-1], a)) for k in range(min(n, order))]
+    back = q[::-1]
+    for k in range(order, n):
+        if sum(map(mul, back, a[k - order : k + 1])):
+            raise ValueError(
+                "entries do not satisfy the recurrence of %r at entry %d" % (spec.rule, k + 1)
+            )
+    # numerator Q(-a0 x), denominator Q(-a0 x) - x P(-a0 x); the latter has constant term 1
+    scale = [(-spec.a0) ** j for j in range(order + 1)]
+    num = [qj * sj for qj, sj in zip(q, scale)]
+    den = num[:]
+    for j, pj in enumerate(p):
+        den[j + 1] -= pj * scale[j]
+    tail = den[:0:-1]  # den_L, ..., den_1, aligned with the window oldest first
+    window = deque([0] * order, maxlen=order)
+    for m in range(n + 1):
+        d = (num[m] if m <= order else 0) - sum(map(mul, tail, window))
+        window.append(d)
+        yield d
+
+
+def det_sequence(spec: HessenbergSpec) -> List[int]:
+    """[det(M_0), ..., det(M_n)]: C-finite for a make_entries spec, else det_prefixes.
+
+    A rule-built spec whose entries break the rule's recurrence raises
+    ValueError.
+    """
+    if spec.rule is None:
+        return det_prefixes(spec)
+    return list(_cfinite(spec))
+
+
 def det_recurrence(spec: HessenbergSpec) -> int:
-    """Determinant by repeated first-row expansion."""
-    return det_prefixes(spec)[spec.n]
+    """det(M_n): the C-finite O(n*L) route for a make_entries spec, else det_prefixes.
+
+    The C-finite route keeps only an L-term window of determinants.  A
+    rule-built spec whose entries break the rule's recurrence raises
+    ValueError.
+    """
+    if spec.rule is None:
+        return det_prefixes(spec)[spec.n]
+    return deque(_cfinite(spec), maxlen=1).pop()
 
 
 def det_trudi_partitions(spec: HessenbergSpec) -> int:

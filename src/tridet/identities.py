@@ -1,8 +1,8 @@
 """Registry of determinant identities with exact pass/fail evaluation.
 
 Each case pairs a determinant left side (an entry rule over a sequence
-family, evaluated by the expansion recurrence) with an independently coded
-right side: a closed form, an auxiliary recurrence, or a series
+family, evaluated by the C-finite determinant route) with an independently
+coded right side: a closed form, an auxiliary recurrence, or a series
 coefficient.  A report passes when the two integers are equal; failures
 are data, never exceptions.  Checks outside a case's stated (r, n) domain
 are refused rather than silently passed.
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .combinatorics import binomial
-from .determinant import EntryRule, det_prefixes, det_recurrence, make_entries
+from .determinant import EntryRule, det_recurrence, det_sequence, make_entries
 from .sequences import SequenceKind, seq_term
 from .series import expand_rational, gf_catalog
 
@@ -27,6 +27,7 @@ _PAD = SequenceKind("padovan")
 
 RhsFn = Callable[[Optional[int], int], int]
 PairFn = Callable[[Optional[int], int], Tuple[int, int]]
+SweepFn = Callable[[Optional[int], int, int], List[Tuple[int, int]]]
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,8 @@ class IdentityCase:
 
     Fixed cases (parameterized False) run once with r = None; the rest run
     per accepted r.  rule/rhs are present for plain determinant-vs-closed-
-    form cases; evaluate covers every case uniformly invoking them.
+    form cases; evaluate covers every case uniformly invoking them.  sweep,
+    where present, gives evaluate's pairs for n = lo..hi in one pass.
     """
 
     id: str
@@ -47,6 +49,7 @@ class IdentityCase:
     evaluate: PairFn
     rule: Optional[Callable[[Optional[int]], EntryRule]] = None
     rhs: Optional[RhsFn] = None
+    sweep: Optional[SweepFn] = None
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,7 @@ def _case(
     rule: Optional[Callable[[Optional[int]], EntryRule]] = None,
     rhs: Optional[RhsFn] = None,
     pair: Optional[PairFn] = None,
+    sweep: Optional[SweepFn] = None,
     r_ok: Optional[Callable[[int], bool]] = None,
     n_min=1,
     n_cap=None,
@@ -105,6 +109,7 @@ def _case(
         evaluate=pair,
         rule=rule,
         rhs=rhs,
+        sweep=sweep,
     )
 
 
@@ -237,26 +242,34 @@ def _aux_i31(m: int) -> int:
     )
 
 
-def _pair_i34(r: Optional[int], n: int) -> Tuple[int, int]:
+def _sweep_i34(r: Optional[int], lo: int, hi: int) -> List[Tuple[int, int]]:
+    """Both clauses for n = lo..hi, one determinant sequence per clause.
+
+    Each n reports its first failing clause, else its first clause.
+    """
     assert r is not None
     ksf = SequenceKind("k-step-fibonacci", r)
-    pairs = []
-    if n >= r - 1:
-        lhs = det_recurrence(make_entries(EntryRule(ksf, 0, 1, 1), n))
-        if r == 2:
-            # one-step count: a single all-squares tiling for n >= 2,
-            # no tiling of negative length at n = 1
-            rhs = 0 if n == 1 else _neg1(n - 1)
-        else:
-            rhs = _neg1(n - 1) * seq_term(SequenceKind("k-step-fibonacci", r - 1), n - 2)
-        pairs.append((lhs, rhs))
-    lhs_b = det_recurrence(make_entries(EntryRule(ksf, r - 1, 1, 1), n))
-    rhs_b = _neg1(n - 1) * seq_term(SequenceKind("q-sequence", r), n + r - 1)
-    pairs.append((lhs_b, rhs_b))
-    for lhs, rhs in pairs:
-        if lhs != rhs:
-            return lhs, rhs
-    return pairs[0]
+    dets_a = det_sequence(make_entries(EntryRule(ksf, 0, 1, 1), hi))
+    dets_b = det_sequence(make_entries(EntryRule(ksf, r - 1, 1, 1), hi))
+    out = []
+    for n in range(lo, hi + 1):
+        pairs = []
+        if n >= r - 1:
+            if r == 2:
+                # one-step count: a single all-squares tiling for n >= 2,
+                # no tiling of negative length at n = 1
+                rhs = 0 if n == 1 else _neg1(n - 1)
+            else:
+                rhs = _neg1(n - 1) * seq_term(SequenceKind("k-step-fibonacci", r - 1), n - 2)
+            pairs.append((dets_a[n], rhs))
+        rhs_b = _neg1(n - 1) * seq_term(SequenceKind("q-sequence", r), n + r - 1)
+        pairs.append((dets_b[n], rhs_b))
+        out.append(next((p for p in pairs if p[0] != p[1]), pairs[0]))
+    return out
+
+
+def _pair_i34(r: Optional[int], n: int) -> Tuple[int, int]:
+    return _sweep_i34(r, n, n)[0]
 
 
 def _pair_i36(r: Optional[int], n: int) -> Tuple[int, int]:
@@ -547,6 +560,7 @@ def registry() -> List[IdentityCase]:
             "I-34",
             "r-step Fibonacci entries: signed (r-1)-step value and signed spaced-piece count, two clauses",
             pair=_pair_i34,
+            sweep=_sweep_i34,
             r_ok=lambda r: r >= 2,
         ),
         _case(
@@ -622,9 +636,11 @@ def check_all(
             if hi < lo:
                 continue
             if case.rule is not None and case.rhs is not None:
-                # one prefix pass serves every n for this (case, r)
-                dets = det_prefixes(make_entries(case.rule(r), hi))
+                # one determinant sequence serves every n for this (case, r)
+                dets = det_sequence(make_entries(case.rule(r), hi))
                 points = ((dets[n], case.rhs(r, n)) for n in range(lo, hi + 1))
+            elif case.sweep is not None:
+                points = case.sweep(r, lo, hi)
             else:
                 points = (case.evaluate(r, n) for n in range(lo, hi + 1))
             for offset, (lhs, rhs) in enumerate(points):

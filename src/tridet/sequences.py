@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .combinatorics import binomial
 
@@ -62,7 +63,7 @@ class SequenceKind:
                 raise ValueError("q-sequence requires r >= 2, got %d" % r)
 
 
-def _seeds_and_offsets(kind: SequenceKind) -> Tuple[List[int], List[int]]:
+def seeds_and_lags(kind: SequenceKind) -> Tuple[List[int], List[int]]:
     """Seed block and recurrence lag list for a kind.
 
     Term n for n >= len(seeds) is the sum of terms n - lag over the lags.
@@ -90,6 +91,16 @@ def _seeds_and_offsets(kind: SequenceKind) -> Tuple[List[int], List[int]]:
     raise ValueError("unknown sequence family %r" % (fam,))
 
 
+def extend_terms(terms: List[int], lags: Sequence[int], count: int) -> None:
+    """Append the next count terms to a list that ends with the latest max(lags) terms."""
+    back = [-lag for lag in lags]
+    # the lagged terms as a tuple; itemgetter returns one only for two or more
+    pick = itemgetter(*back) if len(back) > 1 else lambda window: (window[back[0]],)
+    append = terms.append
+    for _ in range(count):
+        append(sum(pick(terms)))
+
+
 _cache: Dict[Tuple[str, Optional[int]], List[int]] = {}
 _cache_lock = threading.Lock()
 
@@ -99,12 +110,10 @@ def _terms_through(kind: SequenceKind, n: int) -> List[int]:
     with _cache_lock:
         terms = _cache.get(key)
         if terms is None:
-            seeds, _ = _seeds_and_offsets(kind)
+            seeds, _ = seeds_and_lags(kind)
             terms = _cache[key] = list(seeds)
         if len(terms) <= n:
-            _, lags = _seeds_and_offsets(kind)
-            for m in range(len(terms), n + 1):
-                terms.append(sum(terms[m - lag] for lag in lags))
+            extend_terms(terms, seeds_and_lags(kind)[1], n + 1 - len(terms))
         return terms
 
 

@@ -1,0 +1,119 @@
+"""The C-finite determinant route against the O(n^2) and dense oracles."""
+
+import dataclasses
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tridet import (
+    EntryRule,
+    HessenbergSpec,
+    SequenceKind,
+    det_dense,
+    det_prefixes,
+    det_recurrence,
+    det_sequence,
+    make_entries,
+    seq_term,
+)
+from tridet import sequences
+from tridet.determinant import DENSE_CAP, annihilator
+
+# every family at every in-domain order up to 10
+KINDS = [SequenceKind(f) for f in sequences.FIXED_FAMILIES] + [
+    SequenceKind(family, r)
+    for family, orders in (
+        ("gen-tribonacci", range(3, 11)),
+        ("gen-padovan", range(3, 11)),
+        ("square-rmino", range(2, 11)),
+        ("skip-tribonacci", range(3, 11, 2)),
+        ("k-step-fibonacci", range(2, 11)),
+        ("q-sequence", range(2, 11)),
+    )
+    for r in orders
+]
+
+
+@st.composite
+def rules(draw):
+    kind = draw(st.sampled_from(KINDS))
+    start = draw(st.integers(0, (kind.r or 3) + 3))
+    stride = draw(st.integers(1, 4))
+    a0 = draw(st.sampled_from((1, -1, 2, -2, 3, -3)))
+    return EntryRule(kind, start, stride, a0)
+
+
+@given(rules(), st.integers(1, 80))
+@settings(max_examples=150, deadline=None)
+def test_cfinite_route_matches_the_oracles(rule, n):
+    spec = make_entries(rule, n)
+    dets = det_sequence(spec)
+    assert dets == det_prefixes(spec)
+    assert det_recurrence(spec) == dets[n]
+    if n <= DENSE_CAP:
+        assert det_dense(spec) == dets[n]
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_sizes_below_the_recurrence_order(stride):
+    rule = EntryRule(SequenceKind("k-step-fibonacci", 10), 2, stride, -2)
+    assert len(annihilator(rule)) - 1 == 10
+    for n in range(1, 12):
+        spec = make_entries(rule, n)
+        assert det_sequence(spec) == det_prefixes(spec)
+        assert det_recurrence(spec) == det_dense(spec)
+
+
+def test_strided_annihilator_worked_value():
+    # even-indexed tribonacci terms 0, 1, 2, 7, 24, 81: u_k = 3u_(k-1) + u_(k-2) + u_(k-3)
+    assert annihilator(EntryRule(SequenceKind("tribonacci"), 0, 2, 1)) == [1, -3, -1, -1]
+    assert annihilator(EntryRule(SequenceKind("tribonacci"), 0, 1, 1)) == [1, -1, -1, -1]
+
+
+def test_altered_entries_are_refused():
+    spec = make_entries(EntryRule(SequenceKind("gen-tribonacci", 5), 1, 2, 1), 20)
+    entries = list(spec.entries)
+    entries[12] += 1
+    altered = dataclasses.replace(spec, entries=tuple(entries))
+    with pytest.raises(ValueError):
+        det_recurrence(altered)
+    with pytest.raises(ValueError):
+        det_sequence(altered)
+    # the same entries without the rule go to the expansion recurrence
+    plain = HessenbergSpec(altered.a0, altered.entries)
+    assert det_recurrence(plain) == det_prefixes(plain)[-1]
+
+
+@given(
+    st.integers(-3, 3).filter(lambda a0: a0 != 0),
+    st.lists(st.integers(-9, 9), max_size=30),
+)
+@settings(max_examples=60, deadline=None)
+def test_rule_less_spec_uses_det_prefixes(a0, entries):
+    spec = HessenbergSpec(a0, tuple(entries))
+    assert spec.rule is None
+    assert det_sequence(spec) == det_prefixes(spec)
+    assert det_recurrence(spec) == det_prefixes(spec)[-1]
+
+
+@given(rules(), st.integers(1, 60))
+@settings(max_examples=100, deadline=None)
+def test_make_entries_equal_sequence_terms(rule, n):
+    spec = make_entries(rule, n)
+    assert spec.entries == tuple(seq_term(rule.kind, rule.start + i * rule.stride) for i in range(n))
+    assert spec.rule == rule
+    # the rule takes no part in equality, hashing or repr
+    plain = HessenbergSpec(rule.a0, spec.entries)
+    assert spec == plain and hash(spec) == hash(plain)
+    assert repr(spec) == repr(plain)
+
+
+def test_make_entries_leaves_the_sequence_memo_untouched():
+    before = {key: list(terms) for key, terms in sequences._cache.items()}
+    long_specs = [make_entries(EntryRule(kind, 3, 4, 1), 500) for kind in KINDS]
+    assert sequences._cache == before
+    # past several trims of the stepping window, the entries are still the terms
+    for spec in long_specs:
+        kind = spec.rule.kind
+        assert spec.entries == tuple(sequences.seq_range(kind, 3, 3 + 499 * 4)[::4])

@@ -1,8 +1,10 @@
 """Command line behavior: output bytes, document shapes, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
+import sys
 
 import pytest
 
@@ -29,6 +31,54 @@ def test_seq_csv_rows(capsys):
     assert run(["seq", "fibonacci", "--from", "2", "--to", "5", "--format", "csv"]) == 0
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
     assert rows == [["n", "value"], ["2", "1"], ["3", "2"], ["4", "3"], ["5", "5"]]
+
+
+def _rolling_tribonacci(start, stop):
+    a, b, c = 0, 0, 1
+    terms = []
+    for n in range(stop + 1):
+        if n >= start:
+            terms.append(a)
+        a, b, c = b, c, a + b + c
+    return terms
+
+
+def test_seq_prints_terms_past_the_int_str_cap(capsys):
+    cap = sys.get_int_max_str_digits()
+    assert run(["seq", "tribonacci", "--from", "16400", "--to", "16410"]) == 0
+    assert sys.get_int_max_str_digits() == cap  # restored for the caller
+    out = capsys.readouterr().out
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = " ".join(str(t) for t in _rolling_tribonacci(16400, 16410)) + "\n"
+    finally:
+        sys.set_int_max_str_digits(cap)
+    assert len(out) > cap
+    assert out == expected
+
+
+def test_cap_still_applies_while_parsing(capsys):
+    huge = "9" * (sys.get_int_max_str_digits() + 1)
+    assert run(["seq", "tribonacci", "--from", huge, "--to", "0"]) == 2
+    assert "invalid int value" in capsys.readouterr().err
+
+
+# SHA-256 of stdout, pinned when the outputs were known to be right
+GOLDEN_STDOUT = {
+    ("verify",): "aae83a46eb9dbcf55832facdc910c8e8bab2bc45a552ad185c62291f6fc26e31",
+    ("verify", "--format", "json"):
+        "095275bde3399fc5bfe58901f7eda6a1472bf8ccb9bb912e64f1d7e8f8eb75c0",
+    ("det", "--a0", "1", "--kind", "tribonacci", "--start", "3", "--stride", "2", "-n", "14",
+     "--method", "all"):
+        "5496d1b5cc35c0d4f27e1cb57cd3cc1cb84cfb211579d9ab721eb192fafb40d4",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_STDOUT), ids=" ".join)
+def test_golden_stdout_bytes(argv, capsys):
+    assert run(list(argv)) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == GOLDEN_STDOUT[argv]
 
 
 def test_seq_requires_valid_family(capsys):
