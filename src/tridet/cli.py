@@ -5,7 +5,7 @@ all methods), tilings (count or enumerate strip tilings), gf (series
 coefficients from the catalog), verify (run the identity registry).
 
 Exit codes: 0 success, 1 verification found failing identities, 2 bad
-usage or invalid values.
+usage or invalid values, including values too large to allocate.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .determinant import (
     make_entries,
 )
 from .identities import DEFAULT_N_MAX, DEFAULT_R_SET, check_all
-from .sequences import FIXED_FAMILIES, PARAMETRIC_FAMILIES, SequenceKind, seq_range
+from .sequences import SequenceKind, seq_range
 from .series import GF_FAMILIES, expand_rational, gf_catalog
 from .tilings import PieceSet, count_tilings, enumerate_tilings
 
@@ -39,24 +39,12 @@ _DET_ORDER = ("recurrence", "trudi-partitions", "trudi-compositions", "dense")
 _FORMATS = ("plain", "json", "csv")
 
 
-def _kind_from(family: str, r: Optional[int]) -> SequenceKind:
-    if family in FIXED_FAMILIES:
-        if r is not None:
-            raise ValueError("family %r takes no --r" % family)
-        return SequenceKind(family)
-    if family in PARAMETRIC_FAMILIES:
-        if r is None:
-            raise ValueError("family %r requires --r" % family)
-        return SequenceKind(family, r)
-    raise ValueError("unknown sequence family %r" % family)
-
-
 def _csv_writer():
     return csv.writer(sys.stdout, lineterminator="\n")
 
 
 def _cmd_seq(args: argparse.Namespace) -> int:
-    kind = _kind_from(args.kind, args.r)
+    kind = SequenceKind(args.kind, args.r)
     terms = seq_range(kind, args.start, args.stop)
     if args.format == "plain":
         print(" ".join(str(t) for t in terms))
@@ -78,7 +66,7 @@ def _cmd_seq(args: argparse.Namespace) -> int:
 
 
 def _cmd_det(args: argparse.Namespace) -> int:
-    kind = _kind_from(args.kind, args.r)
+    kind = SequenceKind(args.kind, args.r)
     rule = EntryRule(kind, args.start, args.stride, args.a0)
     spec = make_entries(rule, args.n)
     names = _DET_ORDER if args.method == "all" else (args.method,)
@@ -329,8 +317,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    except (ValueError, OverflowError, MemoryError) as exc:
+        # oversized values fail here too, before or while allocating
+        print("error: %s" % (str(exc) or type(exc).__name__), file=sys.stderr)
         return 2
     finally:
         if capped:

@@ -298,6 +298,9 @@ def _pair_i36(r: Optional[int], n: int) -> Tuple[int, int]:
 
 def registry() -> List[IdentityCase]:
     """All identity cases, in id order; 37 in total."""
+    # I-27 restates I-13 and I-35 restates I-04: one rule and right side each
+    const_4 = dict(rule=_trib_rule(5, 2, 1), rhs=lambda r, n: 4, n_min=3)
+    even_neg = dict(rule=_trib_rule(0, 2, -1), rhs=_rhs_i04, n_min=2)
     cases = [
         _case(
             "I-01",
@@ -321,9 +324,7 @@ def registry() -> List[IdentityCase]:
         _case(
             "I-04",
             "even-indexed tribonacci entries with a0 = -1: closed form via c(n) = 3c(n-1) + 2c(n-2)",
-            rule=_trib_rule(0, 2, -1),
-            rhs=_rhs_i04,
-            n_min=2,
+            **even_neg,
         ),
         _case(
             "I-05",
@@ -386,9 +387,7 @@ def registry() -> List[IdentityCase]:
         _case(
             "I-13",
             "odd-indexed tribonacci entries from index 5: constant 4",
-            rule=_trib_rule(5, 2, 1),
-            rhs=lambda r, n: 4,
-            n_min=3,
+            **const_4,
         ),
         _case(
             "I-14",
@@ -504,9 +503,7 @@ def registry() -> List[IdentityCase]:
         _case(
             "I-27",
             "odd-indexed tribonacci entries from index 5: constant 4, order-3 route",
-            rule=_trib_rule(5, 2, 1),
-            rhs=lambda r, n: 4,
-            n_min=3,
+            **const_4,
         ),
         _case(
             "I-28",
@@ -566,9 +563,7 @@ def registry() -> List[IdentityCase]:
         _case(
             "I-35",
             "even-indexed tribonacci entries with a0 = -1: recurrence c(n) = 3c(n-1) + 2c(n-2)",
-            rule=_trib_rule(0, 2, -1),
-            rhs=_rhs_i04,
-            n_min=2,
+            **even_neg,
         ),
         _case(
             "I-36",

@@ -1,9 +1,13 @@
 """Integer sequence families defined by linear recurrences over small seeds.
 
-Every family is evaluated by forward iteration with a per-(family, r) memo,
-so repeated term lookups are linear overall and never recurse.  Negative
-indices are rejected; closed-form cross-checks live alongside the
-recurrences so independent evaluations can be compared term by term.
+FAMILY_TABLE is the one place each family is described: the orders r it
+accepts, its seed block and its recurrence lags.  Term n past the seeds is
+the sum of the terms n - lag; read as piece lengths, the same lags give the
+family's strip tilings (tilings.pieces_for).  Every family is evaluated by
+forward iteration with a per-(family, r) memo, so repeated term lookups are
+linear overall and never recurse.  Negative indices are rejected;
+closed-form cross-checks live alongside the recurrences so independent
+evaluations can be compared term by term.
 """
 
 from __future__ import annotations
@@ -11,20 +15,46 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .combinatorics import binomial
 
-FIXED_FAMILIES = ("fibonacci", "tribonacci", "padovan")
-PARAMETRIC_FAMILIES = (
-    "gen-tribonacci",
-    "gen-padovan",
-    "square-rmino",
-    "skip-tribonacci",
-    "k-step-fibonacci",
-    "q-sequence",
-)
-FAMILIES = FIXED_FAMILIES + PARAMETRIC_FAMILIES
+
+class Family(NamedTuple):
+    """One row of FAMILY_TABLE; seeds and lags map r (None if fixed) to fresh lists."""
+
+    min_r: Optional[int]  # None: a fixed family, which takes no r
+    odd_only: bool
+    seeds: Callable[[Optional[int]], List[int]]
+    lags: Callable[[Optional[int]], List[int]]
+
+
+def _one_last(r: int) -> List[int]:
+    return [0] * (r - 1) + [1]
+
+
+def _one_first(r: int) -> List[int]:
+    return [1] + [0] * (r - 1)
+
+
+# every seed block is exactly max(lags) long, which the C-finite route needs
+FAMILY_TABLE: Dict[str, Family] = {
+    "fibonacci": Family(None, False, lambda r: [0, 1], lambda r: [1, 2]),
+    "tribonacci": Family(None, False, lambda r: [0, 0, 1], lambda r: [1, 2, 3]),
+    "padovan": Family(None, False, lambda r: [1, 0, 0], lambda r: [2, 3]),
+    "gen-tribonacci": Family(3, False, _one_last, lambda r: [1, 2, r]),
+    "gen-padovan": Family(3, False, _one_first, lambda r: [2, r]),
+    # r = 2 admitted by extension: a_n = a_(n-1) + a_(n-2), all-ones seeds
+    "square-rmino": Family(2, False, lambda r: [1] * r, lambda r: [1, r]),
+    "skip-tribonacci": Family(3, True, _one_last, lambda r: [1, (r + 1) // 2, r]),
+    "k-step-fibonacci": Family(2, False, _one_last, lambda r: list(range(1, r + 1))),
+    # r = 2 admitted by extension: Q_n = Q_(n-2), seeds 1, 0
+    "q-sequence": Family(2, False, _one_first, lambda r: list(range(2, r + 1))),
+}
+
+FAMILIES = tuple(FAMILY_TABLE)
+FIXED_FAMILIES = tuple(f for f in FAMILIES if FAMILY_TABLE[f].min_r is None)
+PARAMETRIC_FAMILIES = tuple(f for f in FAMILIES if f not in FIXED_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -35,60 +65,28 @@ class SequenceKind:
     r: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
+        fam, r = FAMILY_TABLE.get(self.family), self.r
+        if fam is None:
             raise ValueError("unknown sequence family %r" % (self.family,))
-        if self.family in FIXED_FAMILIES:
-            if self.r is not None:
+        if fam.min_r is None:
+            if r is not None:
                 raise ValueError("family %r takes no r parameter" % (self.family,))
-            return
-        r = self.r
-        if r is None:
+        elif r is None:
             raise ValueError("family %r requires r" % (self.family,))
-        if self.family in ("gen-tribonacci", "gen-padovan"):
-            if r < 3:
-                raise ValueError("%s requires r >= 3, got %d" % (self.family, r))
-        elif self.family == "square-rmino":
-            # r = 2 admitted by extension: a_n = a_(n-1) + a_(n-2), all-ones seeds
-            if r < 2:
-                raise ValueError("square-rmino requires r >= 2, got %d" % r)
-        elif self.family == "skip-tribonacci":
-            if r < 3 or r % 2 == 0:
-                raise ValueError("skip-tribonacci requires odd r >= 3, got %d" % r)
-        elif self.family == "k-step-fibonacci":
-            if r < 2:
-                raise ValueError("k-step-fibonacci requires r >= 2, got %d" % r)
-        elif self.family == "q-sequence":
-            # r = 2 admitted by extension: Q_n = Q_(n-2), seeds 1, 0
-            if r < 2:
-                raise ValueError("q-sequence requires r >= 2, got %d" % r)
+        elif r < fam.min_r or (fam.odd_only and r % 2 == 0):
+            raise ValueError(
+                "%s requires %sr >= %d, got %d"
+                % (self.family, "odd " if fam.odd_only else "", fam.min_r, r)
+            )
 
 
 def seeds_and_lags(kind: SequenceKind) -> Tuple[List[int], List[int]]:
-    """Seed block and recurrence lag list for a kind.
+    """Seed block and recurrence lag list for a kind, from FAMILY_TABLE.
 
     Term n for n >= len(seeds) is the sum of terms n - lag over the lags.
     """
-    fam, r = kind.family, kind.r
-    if fam == "fibonacci":
-        return [0, 1], [1, 2]
-    if fam == "tribonacci":
-        return [0, 0, 1], [1, 2, 3]
-    if fam == "padovan":
-        return [1, 0, 0], [2, 3]
-    assert r is not None
-    if fam == "gen-tribonacci":
-        return [0] * (r - 1) + [1], [1, 2, r]
-    if fam == "gen-padovan":
-        return [1] + [0] * (r - 1), [2, r]
-    if fam == "square-rmino":
-        return [1] * r, [1, r]
-    if fam == "skip-tribonacci":
-        return [0] * (r - 1) + [1], [1, (r + 1) // 2, r]
-    if fam == "k-step-fibonacci":
-        return [0] * (r - 1) + [1], list(range(1, r + 1))
-    if fam == "q-sequence":
-        return [1] + [0] * (r - 1), list(range(2, r + 1))
-    raise ValueError("unknown sequence family %r" % (fam,))
+    fam = FAMILY_TABLE[kind.family]
+    return fam.seeds(kind.r), fam.lags(kind.r)
 
 
 def extend_terms(terms: List[int], lags: Sequence[int], count: int) -> None:
@@ -110,8 +108,7 @@ def _terms_through(kind: SequenceKind, n: int) -> List[int]:
     with _cache_lock:
         terms = _cache.get(key)
         if terms is None:
-            seeds, _ = seeds_and_lags(kind)
-            terms = _cache[key] = list(seeds)
+            terms = _cache[key] = seeds_and_lags(kind)[0]
         if len(terms) <= n:
             extend_terms(terms, seeds_and_lags(kind)[1], n + 1 - len(terms))
         return terms
@@ -148,8 +145,7 @@ def tribonacci_explicit(n: int) -> int:
 
 def square_rmino_closed(r: int, m: int) -> int:
     """Closed binomial sum for the square-and-r-mino count, m >= 0."""
-    if r < 2:
-        raise ValueError("square-rmino requires r >= 2, got %d" % r)
+    SequenceKind("square-rmino", r)  # refuses r outside the family's domain
     if m < 0:
         raise ValueError("sequence index must be nonnegative, got %d" % m)
     return sum(binomial(m - (r - 1) * i, i) for i in range(m // r + 1))

@@ -3,7 +3,8 @@
 A piece set is a list of (length, colors) pairs with distinct lengths.
 Counting uses the obvious linear recurrence; enumeration is exhaustive and
 capped, so it can serve as an independent oracle for the counts and for the
-sequence families that have a tiling interpretation.
+sequence families: each family's recurrence lags, read as piece lengths,
+give its tilings (pieces_for).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .sequences import SequenceKind
+from .sequences import SequenceKind, seeds_and_lags
 
 ENUMERATION_CAP = 18
 
@@ -82,25 +83,5 @@ def enumerate_tilings(length: int, pieces: PieceSet) -> List[Tuple[Tuple[int, in
 
 
 def pieces_for(kind: SequenceKind) -> PieceSet:
-    """The piece set whose tiling counts reproduce the family, all one color."""
-    fam, r = kind.family, kind.r
-    if fam == "fibonacci":
-        return uncolored(1, 2)
-    if fam == "tribonacci":
-        return uncolored(1, 2, 3)
-    if fam == "padovan":
-        return uncolored(2, 3)
-    assert r is not None
-    if fam == "gen-tribonacci":
-        return uncolored(1, 2, r)
-    if fam == "gen-padovan":
-        return uncolored(2, r)
-    if fam == "square-rmino":
-        return uncolored(1, r)
-    if fam == "skip-tribonacci":
-        return uncolored(1, (r + 1) // 2, r)
-    if fam == "k-step-fibonacci":
-        return uncolored(*range(1, r + 1))
-    if fam == "q-sequence":
-        return uncolored(*range(2, r + 1))
-    raise ValueError("no tiling interpretation for family %r" % (fam,))
+    """Pieces whose tiling counts reproduce the family: its lags, all one color."""
+    return uncolored(*seeds_and_lags(kind)[1])

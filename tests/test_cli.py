@@ -89,6 +89,26 @@ def test_seq_requires_valid_family(capsys):
     capsys.readouterr()
 
 
+HUGE = str(10**20)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["seq", "gen-tribonacci", "--r", HUGE, "--from", "0", "--to", "1"],
+        ["gf", "--family", "i22", "--r", HUGE, "--terms", "1"],
+        ["gf", "--family", "i22", "--r", "3", "--terms", HUGE],
+    ],
+)
+def test_oversized_values_exit_two_with_one_line(argv, capsys):
+    # each fails with OverflowError before anything is allocated
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_det_single_method(capsys):
     assert run(["det", "--a0", "1", "--kind", "tribonacci", "--start", "3",
                 "--stride", "2", "-n", "4"]) == 0

@@ -169,6 +169,10 @@ def test_same_sequence_routes_agree():
             assert left.passed and right.passed
             assert left.lhs == right.lhs
             assert left.rhs == right.rhs
+    # the restated cases share one definition, not two copies
+    for left_id, right_id in (("I-13", "I-27"), ("I-04", "I-35")):
+        assert cases[left_id].rule is cases[right_id].rule
+        assert cases[left_id].rhs is cases[right_id].rhs
 
 
 def test_series_route_matches_recurrence_route():

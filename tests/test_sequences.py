@@ -5,12 +5,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tridet import (
+    FIXED_FAMILIES,
+    PARAMETRIC_FAMILIES,
     SequenceKind,
     seq_range,
     seq_term,
     square_rmino_closed,
     tribonacci_explicit,
 )
+from tridet.sequences import FAMILIES, FAMILY_TABLE, seeds_and_lags
 
 # hand-unrolled from the defining recurrences
 FROZEN = {
@@ -153,3 +156,51 @@ def test_gen_tribonacci_recurrence_property(r, n):
         assert seq_term(kind, n) == 1
     else:
         assert seq_term(kind, n) == 0
+
+
+# each family's r-domain: None for a fixed family, else (smallest r, odd r only)
+DOMAINS = {
+    "fibonacci": None,
+    "tribonacci": None,
+    "padovan": None,
+    "gen-tribonacci": (3, False),
+    "gen-padovan": (3, False),
+    "square-rmino": (2, False),
+    "skip-tribonacci": (3, True),
+    "k-step-fibonacci": (2, False),
+    "q-sequence": (2, False),
+}
+IN_DOMAIN = [(f, None) for f, d in DOMAINS.items() if d is None] + [
+    (f, r)
+    for f, d in DOMAINS.items()
+    if d is not None
+    for r in range(d[0], 13)
+    if not (d[1] and r % 2 == 0)
+]
+
+
+def test_family_names_come_from_the_table_in_order():
+    assert FAMILIES == tuple(FAMILY_TABLE) == tuple(DOMAINS)
+    assert FIXED_FAMILIES == ("fibonacci", "tribonacci", "padovan")
+    assert FIXED_FAMILIES + PARAMETRIC_FAMILIES == FAMILIES
+
+
+@pytest.mark.parametrize("family,r", IN_DOMAIN)
+def test_family_table_invariants(family, r):
+    seeds, lags = seeds_and_lags(SequenceKind(family, r))
+    # make_entries and annihilator rely on a seed block exactly max(lags) long
+    assert len(seeds) == max(lags)
+    assert all(lag > 0 for lag in lags)
+    assert len(set(lags)) == len(lags)
+    domain = DOMAINS[family]
+    if domain is None:
+        with pytest.raises(ValueError, match="takes no r parameter"):
+            SequenceKind(family, 3)
+        return
+    smallest, odd_only = domain
+    if r == smallest:
+        with pytest.raises(ValueError, match="requires"):
+            SequenceKind(family, r - 1)
+    if odd_only:
+        with pytest.raises(ValueError, match="requires odd r"):
+            SequenceKind(family, r + 1)
