@@ -5,7 +5,8 @@ all methods), tilings (count or enumerate strip tilings), gf (series
 coefficients from the catalog), verify (run the identity registry).
 
 Exit codes: 0 success, 1 verification found failing identities, 2 bad
-usage or invalid values, including values too large to allocate.
+usage or invalid values, including values too large to allocate and a
+verify selection with no in-domain check.
 """
 
 from __future__ import annotations
@@ -192,6 +193,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     reports, summary = check_all(
         r_set=r_set, n_max=args.nmax, ids=ids, fail_fast=args.fail_fast
     )
+    if not reports:
+        raise ValueError("no in-domain check for these --ids, --r-set and --nmax")
     records = [
         {
             "id": rep.id,

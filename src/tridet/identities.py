@@ -3,19 +3,22 @@
 Each case pairs a determinant left side (an entry rule over a sequence
 family, evaluated by the C-finite determinant route) with an independently
 coded right side: a closed form, an auxiliary recurrence, or a series
-coefficient.  A report passes when the two integers are equal; failures
-are data, never exceptions.  Checks outside a case's stated (r, n) domain
-are refused rather than silently passed.
+coefficient.  Every case is evaluated one way, by its sweep: the (lhs, rhs)
+pairs for n = lo..hi at one r, from one determinant sequence and one pass
+over the right side.  evaluate, rule and rhs are single-point views of the
+same case.  A report passes when the two integers are equal; failures are
+data, never exceptions.  Checks outside a case's stated (r, n) domain are
+refused rather than silently passed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .combinatorics import binomial
-from .determinant import EntryRule, det_recurrence, det_sequence, make_entries
-from .sequences import SequenceKind, seq_term
+from .determinant import EntryRule, det_sequence, make_entries
+from .sequences import SequenceKind, seq_range, seq_term
 from .series import expand_rational, gf_catalog
 
 DEFAULT_R_SET = (2, 3, 4, 5, 6, 7, 8)
@@ -26,6 +29,7 @@ _TRIB = SequenceKind("tribonacci")
 _PAD = SequenceKind("padovan")
 
 RhsFn = Callable[[Optional[int], int], int]
+TermsFn = Callable[[Optional[int], int, int], List[int]]
 PairFn = Callable[[Optional[int], int], Tuple[int, int]]
 SweepFn = Callable[[Optional[int], int, int], List[Tuple[int, int]]]
 
@@ -35,9 +39,11 @@ class IdentityCase:
     """One checkable identity over a stated (r, n) domain.
 
     Fixed cases (parameterized False) run once with r = None; the rest run
-    per accepted r.  rule/rhs are present for plain determinant-vs-closed-
-    form cases; evaluate covers every case uniformly invoking them.  sweep,
-    where present, gives evaluate's pairs for n = lo..hi in one pass.
+    per accepted r.  sweep(r, lo, hi) is the one evaluation path: the
+    (lhs, rhs) pairs for n = lo..hi.  The rest are single-point views:
+    evaluate(r, n) is sweep(r, n, n)[0], and rule/rhs, present for
+    determinant-vs-right-side cases, give the entry rule at r and the right
+    side at one n.
     """
 
     id: str
@@ -46,10 +52,10 @@ class IdentityCase:
     accepts_r: Callable[[int], bool]
     n_min: Callable[[Optional[int]], int]
     n_cap: Callable[[Optional[int]], Optional[int]]
+    sweep: SweepFn
     evaluate: PairFn
     rule: Optional[Callable[[Optional[int]], EntryRule]] = None
     rhs: Optional[RhsFn] = None
-    sweep: Optional[SweepFn] = None
 
 
 @dataclass(frozen=True)
@@ -71,12 +77,28 @@ class VerificationSummary:
     failed: int
 
 
+@dataclass(frozen=True)
+class _Terms:
+    """A right side written once for n = lo..hi; called as (r, n) it gives one n."""
+
+    terms: TermsFn
+
+    def __call__(self, r: Optional[int], n: int) -> int:
+        return self.terms(r, n, n)[0]
+
+
 def _neg1(k: int) -> int:
     return -1 if k % 2 else 1
 
 
-def _gf_coeff(family: str, r: int, n: int) -> int:
-    return expand_rational(gf_catalog(family, r), n)[n - 1]
+def _alternate(values: List[int], lo: int) -> List[int]:
+    """(-1)^(n-1) times each value, the values running over n = lo, lo + 1, ..."""
+    return [_neg1(n - 1) * v for n, v in enumerate(values, lo)]
+
+
+def _coeffs(family: str, r: int, lo: int, hi: int) -> List[int]:
+    """Catalog series coefficients of x^lo..x^hi, from one expansion."""
+    return expand_rational(gf_catalog(family, r), hi)[lo - 1 :]
 
 
 def _case(
@@ -85,17 +107,23 @@ def _case(
     *,
     rule: Optional[Callable[[Optional[int]], EntryRule]] = None,
     rhs: Optional[RhsFn] = None,
-    pair: Optional[PairFn] = None,
     sweep: Optional[SweepFn] = None,
     r_ok: Optional[Callable[[int], bool]] = None,
     n_min=1,
     n_cap=None,
 ) -> IdentityCase:
-    if pair is None:
+    if sweep is None:
         assert rule is not None and rhs is not None
+        if isinstance(rhs, _Terms):
+            terms = rhs.terms
+        else:
+            def terms(r: Optional[int], lo: int, hi: int) -> List[int]:
+                return [rhs(r, n) for n in range(lo, hi + 1)]
 
-        def pair(r: Optional[int], n: int, _rule=rule, _rhs=rhs) -> Tuple[int, int]:
-            return det_recurrence(make_entries(_rule(r), n)), _rhs(r, n)
+        def sweep(r: Optional[int], lo: int, hi: int) -> List[Tuple[int, int]]:
+            # one determinant sequence serves every n for this (case, r)
+            dets = det_sequence(make_entries(rule(r), hi))
+            return list(zip(dets[lo:], terms(r, lo, hi)))
 
     n_min_fn = n_min if callable(n_min) else (lambda r, _v=n_min: _v)
     n_cap_fn = n_cap if callable(n_cap) else (lambda r, _v=n_cap: _v)
@@ -106,10 +134,10 @@ def _case(
         accepts_r=r_ok if r_ok is not None else (lambda r: False),
         n_min=n_min_fn,
         n_cap=n_cap_fn,
-        evaluate=pair,
+        sweep=sweep,
+        evaluate=lambda r, n: sweep(r, n, n)[0],
         rule=rule,
         rhs=rhs,
-        sweep=sweep,
     )
 
 
@@ -135,14 +163,11 @@ def _any_r(r: int) -> bool:
 
 # right sides, one helper per case where a lambda would be unreadable
 
-def _rhs_i04(r: Optional[int], n: int) -> int:
-    c2, c3 = 1, 2
-    if n == 2:
-        return c2
-    prev2, prev1 = c2, c3
-    for _ in range(4, n + 1):
-        prev2, prev1 = prev1, 3 * prev1 + 2 * prev2
-    return prev1
+def _rhs_i04(r: Optional[int], lo: int, hi: int) -> List[int]:
+    c = [1, 2]  # c(2), c(3)
+    while len(c) < hi - 1:
+        c.append(3 * c[-1] + 2 * c[-2])
+    return c[lo - 2 : hi - 1]
 
 
 def _rhs_i09(r: Optional[int], n: int) -> int:
@@ -182,10 +207,10 @@ def _rhs_i19(r: Optional[int], n: int) -> int:
     return _neg1(n - 1) * total
 
 
-def _aux_i20(r: int, n: int) -> int:
+def _rhs_i20(r: int, lo: int, hi: int) -> List[int]:
     h = (r + 1) // 2
-    vals = [0] * (n + 1)
-    for m in range(1, n + 1):
+    vals = [0] * (hi + 1)
+    for m in range(1, hi + 1):
         if m < h:
             v = 0
         elif m < r:
@@ -195,13 +220,13 @@ def _aux_i20(r: int, n: int) -> int:
         else:
             v = 3 * vals[m - 1] - vals[m - 2] + vals[m - h]
         vals[m] = v
-    return vals[n]
+    return _alternate(vals[lo:], lo)
 
 
-def _aux_i21(r: int, n: int) -> int:
+def _rhs_i21(r: int, lo: int, hi: int) -> List[int]:
     h = r // 2
-    vals = [0] * (n + 1)
-    for m in range(1, n + 1):
+    vals = [0] * (hi + 1)
+    for m in range(1, hi + 1):
         if m < h:
             v = 0
         elif m <= r:
@@ -209,16 +234,16 @@ def _aux_i21(r: int, n: int) -> int:
         else:
             v = 3 * vals[m - 1] - vals[m - 2] + vals[m - h] - vals[m - h - 1]
         vals[m] = v
-    return vals[n]
+    return _alternate(vals[lo:], lo)
 
 
-def _rhs_i23(r: Optional[int], n: int) -> int:
+def _rhs_i23(r: Optional[int], lo: int, hi: int) -> List[int]:
     assert r is not None
     if r % 2 == 1:
-        return _neg1(n - 1) * _gf_coeff("i23", r, n)
-    half = SequenceKind("square-rmino", r // 2)
-    conv = sum(seq_term(half, i) * seq_term(half, n - 1 - i) for i in range(n))
-    return _neg1(n - 1) * conv
+        return _alternate(_coeffs("i23", r, lo, hi), lo)
+    half = seq_range(SequenceKind("square-rmino", r // 2), 0, hi - 1)
+    conv = [sum(half[i] * half[n - 1 - i] for i in range(n)) for n in range(lo, hi + 1)]
+    return _alternate(conv, lo)
 
 
 def _rhs_i25(r: Optional[int], n: int) -> int:
@@ -268,39 +293,34 @@ def _sweep_i34(r: Optional[int], lo: int, hi: int) -> List[Tuple[int, int]]:
     return out
 
 
-def _pair_i34(r: Optional[int], n: int) -> Tuple[int, int]:
-    return _sweep_i34(r, n, n)[0]
+def _sweep_i36(r: Optional[int], lo: int, hi: int) -> List[Tuple[int, int]]:
+    """The three fixed identities are the points n = 1, 2, 3."""
 
-
-def _pair_i36(r: Optional[int], n: int) -> Tuple[int, int]:
     def t(k: int) -> int:
         return seq_term(_TRIB, k)
 
-    if n == 1:
-        lhs = t(2) ** 3 + 2 * t(2) * t(6) + t(4) ** 2 + t(10)
-        rhs = 100
-    elif n == 2:
-        lhs = t(3) ** 4 - 3 * t(3) ** 2 * t(4) + 2 * t(3) * t(5) + t(4) ** 2 - t(6)
-        rhs = 0
-    else:
-        lhs = (
+    pairs = [
+        (t(2) ** 3 + 2 * t(2) * t(6) + t(4) ** 2 + t(10), 100),
+        (t(3) ** 4 - 3 * t(3) ** 2 * t(4) + 2 * t(3) * t(5) + t(4) ** 2 - t(6), 0),
+        (
             t(2) ** 5
             - 4 * t(2) ** 3 * t(3)
             + 3 * t(2) ** 2 * t(4)
             + 3 * t(2) * t(3) ** 2
             - 2 * t(2) * t(5)
             - 2 * t(3) * t(4)
-            + t(6)
-        )
-        rhs = seq_term(_PAD, 7)
-    return lhs, rhs
+            + t(6),
+            seq_term(_PAD, 7),
+        ),
+    ]
+    return pairs[lo - 1 : hi]
 
 
 def registry() -> List[IdentityCase]:
     """All identity cases, in id order; 37 in total."""
     # I-27 restates I-13 and I-35 restates I-04: one rule and right side each
     const_4 = dict(rule=_trib_rule(5, 2, 1), rhs=lambda r, n: 4, n_min=3)
-    even_neg = dict(rule=_trib_rule(0, 2, -1), rhs=_rhs_i04, n_min=2)
+    even_neg = dict(rule=_trib_rule(0, 2, -1), rhs=_Terms(_rhs_i04), n_min=2)
     cases = [
         _case(
             "I-01",
@@ -454,35 +474,35 @@ def registry() -> List[IdentityCase]:
             "I-20",
             "odd-indexed order-r entries from index 1, odd r: signed auxiliary three-term sequence",
             rule=_gt_rule(lambda r: 1, 2, 1),
-            rhs=lambda r, n: _neg1(n - 1) * _aux_i20(r, n),
+            rhs=_Terms(_rhs_i20),
             r_ok=_odd,
         ),
         _case(
             "I-21",
             "odd-indexed order-r entries from index 1, even r: signed auxiliary four-term sequence",
             rule=_gt_rule(lambda r: 1, 2, 1),
-            rhs=lambda r, n: _neg1(n - 1) * _aux_i21(r, n),
+            rhs=_Terms(_rhs_i21),
             r_ok=_even,
         ),
         _case(
             "I-22",
             "odd-indexed order-r entries from index 1: signed series coefficient",
             rule=_gt_rule(lambda r: 1, 2, 1),
-            rhs=lambda r, n: _neg1(n - 1) * _gf_coeff("i22", r, n),
+            rhs=_Terms(lambda r, lo, hi: _alternate(_coeffs("i22", r, lo, hi), lo)),
             r_ok=_any_r,
         ),
         _case(
             "I-23",
             "odd-indexed order-r entries from index r: signed series coefficient (odd r) or half-order convolution (even r)",
             rule=_gt_rule(lambda r: r, 2, 1),
-            rhs=_rhs_i23,
+            rhs=_Terms(_rhs_i23),
             r_ok=_any_r,
         ),
         _case(
             "I-24",
             "odd-indexed tribonacci entries from index 3: series coefficient of (x - x^2) / (1 + 2x + x^3)",
             rule=_trib_rule(3, 2, 1),
-            rhs=lambda r, n: _gf_coeff("i24", 3, n),
+            rhs=_Terms(lambda r, lo, hi: _coeffs("i24", 3, lo, hi)),
         ),
         _case(
             "I-25",
@@ -509,21 +529,21 @@ def registry() -> List[IdentityCase]:
             "I-28",
             "even-indexed order-r entries from index 0: series coefficient",
             rule=_gt_rule(lambda r: 0, 2, 1),
-            rhs=lambda r, n: _gf_coeff("i28", r, n),
+            rhs=_Terms(lambda r, lo, hi: _coeffs("i28", r, lo, hi)),
             r_ok=_any_r,
         ),
         _case(
             "I-29",
             "even-indexed order-r entries from index 0 with a0 = -1: series coefficient",
             rule=_gt_rule(lambda r: 0, 2, -1),
-            rhs=lambda r, n: _gf_coeff("i29", r, n),
+            rhs=_Terms(lambda r, lo, hi: _coeffs("i29", r, lo, hi)),
             r_ok=_any_r,
         ),
         _case(
             "I-30",
             "order-r entries from index r+2: series coefficient",
             rule=_gt_rule(lambda r: r + 2, 1, 1),
-            rhs=lambda r, n: _gf_coeff("i30", r, n),
+            rhs=_Terms(lambda r, lo, hi: _coeffs("i30", r, lo, hi)),
             r_ok=_any_r,
         ),
         _case(
@@ -556,7 +576,6 @@ def registry() -> List[IdentityCase]:
         _case(
             "I-34",
             "r-step Fibonacci entries: signed (r-1)-step value and signed spaced-piece count, two clauses",
-            pair=_pair_i34,
             sweep=_sweep_i34,
             r_ok=lambda r: r >= 2,
         ),
@@ -568,7 +587,7 @@ def registry() -> List[IdentityCase]:
         _case(
             "I-36",
             "three fixed polynomial identities in tribonacci terms: 100, 0, and a Padovan value",
-            pair=_pair_i36,
+            sweep=_sweep_i36,
             n_cap=3,
         ),
     ]
@@ -576,23 +595,19 @@ def registry() -> List[IdentityCase]:
     return cases
 
 
-def _in_domain(case: IdentityCase, r: Optional[int], n: int) -> bool:
-    if case.parameterized:
-        if r is None or not case.accepts_r(r):
-            return False
-    elif r is not None:
-        return False
-    if n < case.n_min(r):
-        return False
+def _n_range(case: IdentityCase, r: Optional[int], n_max: int) -> range:
+    """The in-domain n <= n_max of case at r; empty when r is outside its domain."""
+    if case.parameterized != (r is not None) or (r is not None and not case.accepts_r(r)):
+        return range(0)
     cap = case.n_cap(r)
-    return cap is None or n <= cap
+    return range(case.n_min(r), (n_max if cap is None else min(n_max, cap)) + 1)
 
 
 def check_identity(case: IdentityCase, r: Optional[int], n: int) -> IdentityReport:
     """Evaluate one case at one point; out-of-domain points raise."""
-    if not _in_domain(case, r, n):
+    if n not in _n_range(case, r, n):
         raise ValueError("(r=%r, n=%d) is outside the domain of %s" % (r, n, case.id))
-    lhs, rhs = case.evaluate(r, n)
+    lhs, rhs = case.sweep(r, n, n)[0]
     return IdentityReport(case.id, r, n, lhs, rhs, lhs == rhs)
 
 
@@ -602,7 +617,7 @@ def check_all(
     ids: Optional[Sequence[str]] = None,
     fail_fast: bool = False,
 ) -> Tuple[List[IdentityReport], VerificationSummary]:
-    """Check every in-domain (case, r, n) with n <= n_max.
+    """Check every in-domain (case, r, n) with n <= n_max, one sweep per (case, r).
 
     Reports come back ordered by (id, r, n) with fixed cases first at
     r = None; fixed cases run once regardless of r_set.
@@ -615,38 +630,19 @@ def check_all(
             raise ValueError("unknown identity ids: %s" % ", ".join(unknown))
         wanted = set(ids)
         cases = [c for c in cases if c.id in wanted]
+
+    def sweeps() -> Iterator[IdentityReport]:
+        for case in cases:
+            for r in sorted(set(r_set)) if case.parameterized else [None]:
+                ns = _n_range(case, r, n_max)
+                if ns:
+                    for n, (lhs, rhs) in zip(ns, case.sweep(r, ns[0], ns[-1]), strict=True):
+                        yield IdentityReport(case.id, r, n, lhs, rhs, lhs == rhs)
+
     reports: List[IdentityReport] = []
-    stop = False
-    for case in cases:
-        if case.parameterized:
-            r_values: List[Optional[int]] = [
-                r for r in sorted(set(r_set)) if case.accepts_r(r)
-            ]
-        else:
-            r_values = [None]
-        for r in r_values:
-            lo = case.n_min(r)
-            cap = case.n_cap(r)
-            hi = n_max if cap is None else min(n_max, cap)
-            if hi < lo:
-                continue
-            if case.rule is not None and case.rhs is not None:
-                # one determinant sequence serves every n for this (case, r)
-                dets = det_sequence(make_entries(case.rule(r), hi))
-                points = ((dets[n], case.rhs(r, n)) for n in range(lo, hi + 1))
-            elif case.sweep is not None:
-                points = case.sweep(r, lo, hi)
-            else:
-                points = (case.evaluate(r, n) for n in range(lo, hi + 1))
-            for offset, (lhs, rhs) in enumerate(points):
-                report = IdentityReport(case.id, r, lo + offset, lhs, rhs, lhs == rhs)
-                reports.append(report)
-                if fail_fast and not report.passed:
-                    stop = True
-                    break
-            if stop:
-                break
-        if stop:
+    for report in sweeps():
+        reports.append(report)
+        if fail_fast and not report.passed:
             break
     passed = sum(1 for report in reports if report.passed)
     summary = VerificationSummary(len(reports), passed, len(reports) - passed)

@@ -196,6 +196,7 @@ def _forged_registry():
         IdentityCase(
             id="X-00", description="forged failing case", parameterized=False,
             accepts_r=lambda r: False, n_min=lambda r: 1, n_cap=lambda r: 2,
+            sweep=lambda r, lo, hi: [(0, 1)] * (hi - lo + 1),
             evaluate=lambda r, n: (0, 1), rule=None, rhs=None,
         )
     ]

@@ -212,6 +212,7 @@ def _forged_registry():
         IdentityCase(
             id="X-00", description="forged failing case", parameterized=False,
             accepts_r=lambda r: False, n_min=lambda r: 1, n_cap=lambda r: 3,
+            sweep=lambda r, lo, hi: [(0, 1)] * (hi - lo + 1),
             evaluate=lambda r, n: (0, 1), rule=None, rhs=None,
         )
     ]
@@ -233,6 +234,22 @@ def test_verify_argument_errors(capsys):
     assert run(["verify", "--r-set", "x"]) == 2
     assert run(["verify", "--ids", "I-99"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--nmax", "0"],
+        ["verify", "--ids", "I-20", "--r-set", "4"],  # I-20 wants odd orders
+    ],
+)
+def test_verify_selecting_no_check_exits_two(argv, capsys):
+    # a sweep that checks nothing must not report success
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_top_level_usage(capsys):

@@ -1,16 +1,22 @@
 """Identity registry: shape, domains, frozen spot values, cross-consistency."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tridet.identities as identities_module
 from tridet import (
+    EntryRule,
     IdentityCase,
     SequenceKind,
     check_all,
     check_identity,
+    expand_rational,
+    gf_catalog,
     registry,
+    seq_term,
 )
 
 ALL_IDS = ["I-%02d" % i for i in range(1, 37)] + ["I-19b"]
@@ -133,10 +139,12 @@ def _forged_registry():
     )
     bad = IdentityCase(
         id="X-00", description="forged failing case",
+        sweep=lambda r, lo, hi: [(0, 1)] * (hi - lo + 1),
         evaluate=lambda r, n: (0, 1), **common,
     )
     good = IdentityCase(
         id="X-01", description="forged passing case",
+        sweep=lambda r, lo, hi: [(7, 7)] * (hi - lo + 1),
         evaluate=lambda r, n: (7, 7), **common,
     )
     return [bad, good]
@@ -234,3 +242,115 @@ def test_random_in_domain_points_pass(data):
         return
     n = data.draw(st.integers(lo, hi))
     assert check_identity(case, r, n).passed
+
+
+def test_single_point_views_agree_with_the_sweep():
+    # evaluate, rule and rhs are read one n at a time by outside callers
+    # (the benchmark harness among them); each must be a view of sweep
+    for case in registry():
+        orders = [r for r in range(2, 10) if case.accepts_r(r)] if case.parameterized else [None]
+        for r in orders:
+            lo, cap = case.n_min(r), case.n_cap(r)
+            hi = 40 if cap is None else min(40, cap)
+            pairs = case.sweep(r, lo, hi)
+            assert pairs == [case.evaluate(r, n) for n in range(lo, hi + 1)]
+            if case.rule is not None:
+                assert isinstance(case.rule(r), EntryRule)
+                assert [case.rhs(r, n) for n in range(lo, hi + 1)] == [p[1] for p in pairs]
+        wrapped = dataclasses.replace(case, evaluate=lambda r, n: (0, 0), rhs=lambda r, n: 0)
+        assert wrapped.sweep is case.sweep and wrapped.rule is case.rule
+
+
+# The per-n right sides the registry evaluated before its right sides became
+# lo..hi sequences, kept here as an independent reference.
+
+def _neg1(k):
+    return -1 if k % 2 else 1
+
+
+def _gf_coeff(family, r, n):
+    return expand_rational(gf_catalog(family, r), n)[n - 1]
+
+
+def _rhs_i04(r, n):
+    c2, c3 = 1, 2
+    if n == 2:
+        return c2
+    prev2, prev1 = c2, c3
+    for _ in range(4, n + 1):
+        prev2, prev1 = prev1, 3 * prev1 + 2 * prev2
+    return prev1
+
+
+def _aux_i20(r, n):
+    fib = SequenceKind("fibonacci")
+    h = (r + 1) // 2
+    vals = [0] * (n + 1)
+    for m in range(1, n + 1):
+        if m < h:
+            v = 0
+        elif m < r:
+            v = seq_term(fib, 2 * m - r + 1)
+        elif m == r:
+            v = 1 + seq_term(fib, r + 1)
+        else:
+            v = 3 * vals[m - 1] - vals[m - 2] + vals[m - h]
+        vals[m] = v
+    return vals[n]
+
+
+def _aux_i21(r, n):
+    fib = SequenceKind("fibonacci")
+    h = r // 2
+    vals = [0] * (n + 1)
+    for m in range(1, n + 1):
+        if m < h:
+            v = 0
+        elif m <= r:
+            v = seq_term(fib, 2 * m - r + 1)
+        else:
+            v = 3 * vals[m - 1] - vals[m - 2] + vals[m - h] - vals[m - h - 1]
+        vals[m] = v
+    return vals[n]
+
+
+def _rhs_i23(r, n):
+    if r % 2 == 1:
+        return _neg1(n - 1) * _gf_coeff("i23", r, n)
+    half = SequenceKind("square-rmino", r // 2)
+    conv = sum(seq_term(half, i) * seq_term(half, n - 1 - i) for i in range(n))
+    return _neg1(n - 1) * conv
+
+
+# (case id, parity of r or None for any, per-n right side)
+_PER_N_RIGHT_SIDES = [
+    ("I-04", None, _rhs_i04),
+    ("I-20", 1, lambda r, n: _neg1(n - 1) * _aux_i20(r, n)),
+    ("I-21", 0, lambda r, n: _neg1(n - 1) * _aux_i21(r, n)),
+    ("I-22", None, lambda r, n: _neg1(n - 1) * _gf_coeff("i22", r, n)),
+    ("I-23", 1, _rhs_i23),
+    ("I-23", 0, _rhs_i23),
+    ("I-24", None, lambda r, n: _gf_coeff("i24", 3, n)),
+    ("I-28", None, lambda r, n: _gf_coeff("i28", r, n)),
+    ("I-29", None, lambda r, n: _gf_coeff("i29", r, n)),
+    ("I-30", None, lambda r, n: _gf_coeff("i30", r, n)),
+]
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_sequence_right_sides_match_the_per_n_forms(data):
+    cid, parity, per_n = data.draw(st.sampled_from(_PER_N_RIGHT_SIDES))
+    case = _by_id()[cid]
+    r = None
+    if case.parameterized:
+        orders = [
+            r for r in range(2, 13)
+            if case.accepts_r(r) and (parity is None or r % 2 == parity)
+        ]
+        r = data.draw(st.sampled_from(orders))
+    lo = data.draw(st.integers(case.n_min(r), 60))
+    hi = data.draw(st.integers(lo, 60))
+    swept = [rhs for _, rhs in case.sweep(r, lo, hi)]
+    assert swept == [per_n(r, n) for n in range(lo, hi + 1)]
+    assert swept == [case.rhs(r, n) for n in range(lo, hi + 1)]
