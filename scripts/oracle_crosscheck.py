@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Randomized cross-validation of the independent evaluation routes.
 
-Five blocks: determinant evaluators against each other on random specs,
+Six blocks: determinant evaluators against each other on random specs,
 the size-4 polynomial expansion, tiling counts against sequence terms,
-the C-finite route against the expansion recurrence on random rules, and
-series coefficients against determinant sequences.  One PASS/FAIL line
-per block; exit 1 on any disagreement.
+the C-finite route against the expansion recurrence on random rules,
+series coefficients against determinant sequences, and Bostan-Mori
+halving against the linear C-finite expansion on random rules at sizes
+past the check's first block.  One PASS/FAIL line per block; exit 1 on
+any disagreement.
 """
 
 import argparse
@@ -92,26 +94,35 @@ def tilings_match(rng: random.Random, trials: int) -> bool:
     return ok
 
 
+# every family at every in-domain order up to 10
+RULE_KINDS = [SequenceKind(f) for f in ("fibonacci", "tribonacci", "padovan")] + [
+    SequenceKind(f, r)
+    for f, rs in (
+        ("gen-tribonacci", range(3, 11)),
+        ("gen-padovan", range(3, 11)),
+        ("square-rmino", range(2, 11)),
+        ("skip-tribonacci", range(3, 11, 2)),
+        ("k-step-fibonacci", range(2, 11)),
+        ("q-sequence", range(2, 11)),
+    )
+    for r in rs
+]
+
+
+def random_rule(rng: random.Random) -> EntryRule:
+    kind = rng.choice(RULE_KINDS)
+    return EntryRule(
+        kind,
+        rng.randint(0, (kind.r or 3) + 3),
+        rng.randint(1, 4),
+        rng.choice((1, -1, 2, -2, 3, -3)),
+    )
+
+
 def cfinite_matches(rng: random.Random, trials: int) -> bool:
-    orders = {
-        "gen-tribonacci": range(3, 11),
-        "gen-padovan": range(3, 11),
-        "square-rmino": range(2, 11),
-        "skip-tribonacci": range(3, 11, 2),
-        "k-step-fibonacci": range(2, 11),
-        "q-sequence": range(2, 11),
-    }
-    kinds = [SequenceKind(f) for f in ("fibonacci", "tribonacci", "padovan")]
-    kinds += [SequenceKind(f, r) for f, rs in orders.items() for r in rs]
     ok = True
     for _ in range(trials):
-        kind = rng.choice(kinds)
-        rule = EntryRule(
-            kind,
-            rng.randint(0, (kind.r or 3) + 3),
-            rng.randint(1, 4),
-            rng.choice((1, -1, 2, -2, 3, -3)),
-        )
+        rule = random_rule(rng)
         spec = make_entries(rule, rng.randint(1, 80))
         expected = det_prefixes(spec)
         if det_sequence(spec) != expected or det_recurrence(spec) != expected[-1]:
@@ -145,6 +156,17 @@ def series_match() -> bool:
     return ok
 
 
+def halving_matches(rng: random.Random, trials: int) -> bool:
+    ok = True
+    for _ in range(trials):
+        rule = random_rule(rng)
+        spec = make_entries(rule, rng.randint(257, 1100))
+        if det_recurrence(spec) != det_sequence(spec)[-1]:
+            print("  disagreement on %r, n=%d" % (rule, spec.n))
+            ok = False
+    return ok
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=20260822)
@@ -170,6 +192,11 @@ def main() -> int:
         cfinite_matches(rng, args.trials),
     )
     ok &= report("series coefficients match determinant sequences", series_match())
+    ok &= report(
+        "halving matches the linear C-finite expansion on %d random rules, n 257..1100"
+        % args.trials,
+        halving_matches(rng, args.trials),
+    )
     return 0 if ok else 1
 
 

@@ -7,8 +7,12 @@ evaluation routes cross-certify each other:
 - det_recurrence / det_sequence: for a spec built by make_entries, the
   C-finite route.  The entries obey a linear recurrence with
   characteristic polynomial Q, so their series is P/Q and the
-  determinants are the coefficients of Q(-a0 x) / (Q(-a0 x) - x P(-a0 x)),
-  read off in O(n*L) integer steps (L = order of the recurrence).
+  determinants are the coefficients of Q(-a0 x) / (Q(-a0 x) - x P(-a0 x))
+  (L = order of the recurrence).  Both check every entry against Q in
+  O(n*L) chunked steps.  det_recurrence then reads the one coefficient
+  det(M_n) by Bostan-Mori halving in O(L^2 log n) integer products;
+  det_sequence expands every coefficient in O(n*L) steps.  Each is
+  cross-checked against the other and against det_prefixes.
 - det_prefixes: first-row expansion in O(n^2), the oracle for the
   C-finite route and the route for specs without a rule.
 - det_trudi_partitions, det_trudi_compositions: combinatorial expansions
@@ -20,8 +24,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from operator import mul
-from typing import Iterator, List, Optional, Tuple
+from itertools import repeat
+from operator import add, mul, sub
+from typing import Iterable, List, Optional, Tuple
 
 from .combinatorics import compositions, multinomial, partitions
 from .sequences import SequenceKind, extend_terms, seeds_and_lags
@@ -76,7 +81,8 @@ class EntryRule:
             raise ValueError("superdiagonal constant a0 must be nonzero")
 
 
-# make_entries steps the recurrence this many terms at a time between trims
+# make_entries steps the recurrence this many terms at a time between trims,
+# and the recurrence check of the C-finite route takes this many entries at a time
 _CHUNK = 256
 
 
@@ -160,54 +166,112 @@ def annihilator(rule: EntryRule) -> List[int]:
     return q
 
 
-def _cfinite(spec: HessenbergSpec) -> Iterator[int]:
-    """det(M_0), ..., det(M_n) of a rule-built spec, holding an L-term window."""
-    q = annihilator(spec.rule)
+def _check_entries(spec: HessenbergSpec, q: List[int]) -> None:
+    """Raise ValueError at the first entry a_(k+1), k >= L, with sum_j q_j a_(k+1-j) != 0.
+
+    The residues are formed _CHUNK entries at a time: each nonzero q_j adds
+    its multiple of one shifted slice to the block through a lazy map, so
+    the Python-level work is per block and per q_j rather than per entry.
+    """
     order = len(q) - 1
     a, n = spec.entries, spec.n
-    # P = (entries * Q) mod x^L; the coefficients from x^L on must vanish
-    p = [sum(map(mul, q[k::-1], a)) for k in range(min(n, order))]
-    back = q[::-1]
-    for k in range(order, n):
-        if sum(map(mul, back, a[k - order : k + 1])):
+    lags = [(j, qj) for j, qj in enumerate(q) if j and qj]
+
+    def residues(lo: int, hi: int) -> Iterable[int]:
+        out: Iterable[int] = a[lo:hi]
+        for j, qj in lags:
+            shifted = a[lo - j : hi - j]
+            if qj == 1:
+                out = map(add, out, shifted)
+            elif qj == -1:
+                out = map(sub, out, shifted)
+            else:
+                out = map(add, out, map(mul, repeat(qj), shifted))
+        return out
+
+    for lo in range(order, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        if any(residues(lo, hi)):
+            k = lo + next(i for i, v in enumerate(residues(lo, hi)) if v)
             raise ValueError(
                 "entries do not satisfy the recurrence of %r at entry %d" % (spec.rule, k + 1)
             )
-    # numerator Q(-a0 x), denominator Q(-a0 x) - x P(-a0 x); the latter has constant term 1
+
+
+def _rational(spec: HessenbergSpec) -> Tuple[List[int], List[int]]:
+    """num, den with det(M_m) = [x^m] num/den for m <= n, for a rule-built spec.
+
+    The entries' series is P/Q, with Q the rule's annihilator and P read off
+    the first L entries; every later entry is checked against Q.  The
+    determinants are the coefficients of Q(-a0 x) / (Q(-a0 x) - x P(-a0 x)),
+    whose denominator has constant term 1.
+    """
+    q = annihilator(spec.rule)
+    order = len(q) - 1
+    a = spec.entries
+    # P = (entries * Q) mod x^L; the coefficients from x^L on must vanish
+    p = [sum(map(mul, q[k::-1], a)) for k in range(min(spec.n, order))]
+    _check_entries(spec, q)
     scale = [(-spec.a0) ** j for j in range(order + 1)]
     num = [qj * sj for qj, sj in zip(q, scale)]
     den = num[:]
     for j, pj in enumerate(p):
         den[j + 1] -= pj * scale[j]
-    tail = den[:0:-1]  # den_L, ..., den_1, aligned with the window oldest first
-    window = deque([0] * order, maxlen=order)
-    for m in range(n + 1):
-        d = (num[m] if m <= order else 0) - sum(map(mul, tail, window))
-        window.append(d)
-        yield d
+    return num, den
+
+
+def _product_coeffs(f: List[int], g: List[int], parity: int) -> List[int]:
+    """Coefficients parity, parity + 2, ... of the product f*g."""
+    rg = g[::-1]
+    last_g = len(g) - 1
+    out = []
+    for k in range(parity, len(f) + last_g, 2):
+        lo, hi = max(0, k - last_g), min(k, len(f) - 1)
+        out.append(sum(map(mul, f[lo : hi + 1], rg[last_g - k + lo : last_g - k + hi + 1])))
+    return out
 
 
 def det_sequence(spec: HessenbergSpec) -> List[int]:
     """[det(M_0), ..., det(M_n)]: C-finite for a make_entries spec, else det_prefixes.
 
-    A rule-built spec whose entries break the rule's recurrence raises
-    ValueError.
+    The C-finite route checks the entries against the rule's recurrence and
+    expands num/den term by term in O(n*L) integer steps.  A rule-built spec
+    whose entries break the recurrence raises ValueError.
     """
     if spec.rule is None:
         return det_prefixes(spec)
-    return list(_cfinite(spec))
+    num, den = _rational(spec)
+    order = len(den) - 1
+    tail = den[:0:-1]  # den_L, ..., den_1, aligned with the window oldest first
+    window = deque([0] * order, maxlen=order)
+    dets = []
+    for m in range(spec.n + 1):
+        d = (num[m] if m <= order else 0) - sum(map(mul, tail, window))
+        window.append(d)
+        dets.append(d)
+    return dets
 
 
 def det_recurrence(spec: HessenbergSpec) -> int:
-    """det(M_n): the C-finite O(n*L) route for a make_entries spec, else det_prefixes.
+    """det(M_n): Bostan-Mori halving for a make_entries spec, else det_prefixes.
 
-    The C-finite route keeps only an L-term window of determinants.  A
-    rule-built spec whose entries break the rule's recurrence raises
-    ValueError.
+    The C-finite route checks the entries against the rule's recurrence in
+    O(n*L), then reads [x^n] num/den in O(L^2 log n) integer products: each
+    step multiplies num and den by den(-x), keeps the even half of the
+    denominator and the half of the numerator with the parity of n, and
+    halves n.  The denominator keeps constant term 1, so nothing is divided.
+    A rule-built spec whose entries break the recurrence raises ValueError.
     """
     if spec.rule is None:
         return det_prefixes(spec)[spec.n]
-    return deque(_cfinite(spec), maxlen=1).pop()
+    num, den = _rational(spec)
+    n = spec.n
+    while n:
+        twin = [c if i % 2 == 0 else -c for i, c in enumerate(den)]
+        num = _product_coeffs(num, twin, n % 2)
+        den = _product_coeffs(den, twin, 0)
+        n //= 2
+    return num[0]
 
 
 def det_trudi_partitions(spec: HessenbergSpec) -> int:

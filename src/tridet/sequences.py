@@ -12,7 +12,6 @@ evaluations can be compared term by term.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -100,18 +99,16 @@ def extend_terms(terms: List[int], lags: Sequence[int], count: int) -> None:
 
 
 _cache: Dict[Tuple[str, Optional[int]], List[int]] = {}
-_cache_lock = threading.Lock()
 
 
 def _terms_through(kind: SequenceKind, n: int) -> List[int]:
     key = (kind.family, kind.r)
-    with _cache_lock:
-        terms = _cache.get(key)
-        if terms is None:
-            terms = _cache[key] = seeds_and_lags(kind)[0]
-        if len(terms) <= n:
-            extend_terms(terms, seeds_and_lags(kind)[1], n + 1 - len(terms))
-        return terms
+    terms = _cache.get(key)
+    if terms is None:
+        terms = _cache[key] = seeds_and_lags(kind)[0]
+    if len(terms) <= n:
+        extend_terms(terms, seeds_and_lags(kind)[1], n + 1 - len(terms))
+    return terms
 
 
 def seq_term(kind: SequenceKind, n: int) -> int:

@@ -1,6 +1,7 @@
 """The C-finite determinant route against the O(n^2) and dense oracles."""
 
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from tridet import (
     seq_term,
 )
 from tridet import sequences
-from tridet.determinant import DENSE_CAP, annihilator
+from tridet.determinant import _CHUNK, DENSE_CAP, annihilator
 
 # every family at every in-domain order up to 10
 KINDS = [SequenceKind(f) for f in sequences.FIXED_FAMILIES] + [
@@ -83,6 +84,57 @@ def test_altered_entries_are_refused():
     # the same entries without the rule go to the expansion recurrence
     plain = HessenbergSpec(altered.a0, altered.entries)
     assert det_recurrence(plain) == det_prefixes(plain)[-1]
+
+
+def _first_broken_entry(spec):
+    """The entry the per-window check named: a copy of the loop before chunking."""
+    q = annihilator(spec.rule)
+    order = len(q) - 1
+    a, back = spec.entries, q[::-1]
+    for k in range(order, spec.n):
+        if sum(x * y for x, y in zip(back, a[k - order : k + 1])):
+            return k + 1
+    return None
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("positions", [(12,), (255,), (256,), (257,), (600,), (600, 257)])
+def test_altered_entries_are_refused_at_the_first_broken_entry(stride, positions):
+    spec = make_entries(EntryRule(SequenceKind("gen-tribonacci", 5), 1, stride, 2), 700)
+    order = len(annihilator(spec.rule)) - 1
+    # the named positions, alone and with the first entry, the first checked
+    # entry or an edge of the check's first two blocks
+    for extra in ((), (0,), (order,), (order + _CHUNK - 1,), (order + _CHUNK,)):
+        entries = list(spec.entries)
+        for i in positions + extra:
+            entries[i] -= 7
+        altered = dataclasses.replace(spec, entries=tuple(entries))
+        expected = _first_broken_entry(altered)
+        # an entry before a_(L+1) first shows in the window that ends at a_(L+1)
+        assert expected == max(min(positions + extra), order) + 1
+        message = "entries do not satisfy the recurrence of %r at entry %d" % (spec.rule, expected)
+        for route in (det_recurrence, det_sequence):
+            with pytest.raises(ValueError, match=re.escape(message) + "$"):
+                route(altered)
+
+
+@given(rules(), st.integers(1, 1100))
+@settings(max_examples=80, deadline=None)
+def test_halving_matches_the_linear_expansion_deep(rule, n):
+    spec = make_entries(rule, n)
+    dets = det_sequence(spec)
+    assert det_recurrence(spec) == dets[n]
+    if n <= 120:
+        assert dets == det_prefixes(spec)
+
+
+@given(rules())
+@settings(max_examples=40, deadline=None)
+def test_rule_carrying_spec_with_no_entries(rule):
+    empty = dataclasses.replace(make_entries(rule, 1), entries=())
+    assert empty.rule == rule
+    assert det_recurrence(empty) == 1
+    assert det_sequence(empty) == [1]
 
 
 @given(
