@@ -6,7 +6,9 @@ coefficients from the catalog), verify (run the identity registry).
 
 Exit codes: 0 success, 1 verification found failing identities, 2 bad
 usage or invalid values, including values too large to allocate and a
-verify selection with no in-domain check.
+verify selection with no in-domain check.  Run as a program (main), the
+tool exits 141, as a process ended by SIGPIPE does, when the reader of its
+stdout goes away before the output ends.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Iterable, Optional, Sequence
 
 from .determinant import (
     EntryRule,
@@ -36,50 +40,53 @@ _DET_METHODS = {
     "trudi-compositions": det_trudi_compositions,
     "dense": det_dense,
 }
-_DET_ORDER = ("recurrence", "trudi-partitions", "trudi-compositions", "dense")
-_FORMATS = ("plain", "json", "csv")
 
 
-def _csv_writer():
-    return csv.writer(sys.stdout, lineterminator="\n")
+def _emit(
+    fmt: str,
+    plain: Callable[[], Iterable[str]],
+    doc: Callable[[], dict],
+    columns: Sequence[str],
+    rows: Callable[[], Iterable[Sequence]],
+) -> None:
+    """Write one result to stdout; no other code in this module does.
 
-
-def _cmd_seq(args: argparse.Namespace) -> int:
-    kind = SequenceKind(args.kind, args.r)
-    terms = seq_range(kind, args.start, args.stop)
-    if args.format == "plain":
-        print(" ".join(str(t) for t in terms))
-    elif args.format == "json":
-        doc = {
-            "kind": args.kind,
-            "r": args.r,
-            "from": args.start,
-            "to": args.stop,
-            "terms": [str(t) for t in terms],
-        }
-        print(json.dumps(doc))
+    plain() gives the lines of plain text, doc() the JSON document and
+    rows() the CSV rows under the header columns.  Only the one for fmt is
+    called, so the other formats are never built.
+    """
+    if fmt == "plain":
+        for line in plain():
+            print(line)
+    elif fmt == "json":
+        print(json.dumps(doc()))
     else:
-        writer = _csv_writer()
-        writer.writerow(["n", "value"])
-        for i, t in enumerate(terms, start=args.start):
-            writer.writerow([i, str(t)])
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows())
+
+
+def _cmd_seq(args: argparse.Namespace, emit: Callable[..., None]) -> int:
+    kind = SequenceKind(args.kind, args.r)
+    terms = [str(t) for t in seq_range(kind, args.start, args.stop)]
+    emit(
+        lambda: [" ".join(terms)],
+        lambda: {"kind": args.kind, "r": args.r, "from": args.start, "to": args.stop, "terms": terms},
+        ["n", "value"],
+        lambda: enumerate(terms, start=args.start),
+    )
     return 0
 
 
-def _cmd_det(args: argparse.Namespace) -> int:
+def _cmd_det(args: argparse.Namespace, emit: Callable[..., None]) -> int:
     kind = SequenceKind(args.kind, args.r)
     rule = EntryRule(kind, args.start, args.stride, args.a0)
     spec = make_entries(rule, args.n)
-    names = _DET_ORDER if args.method == "all" else (args.method,)
-    values = {name: _DET_METHODS[name](spec) for name in names}
-    if args.format == "plain":
-        if len(names) == 1:
-            print(values[names[0]])
-        else:
-            for name in names:
-                print("%s %s" % (name, values[name]))
-    elif args.format == "json":
-        doc = {
+    names = tuple(_DET_METHODS) if args.method == "all" else (args.method,)
+    values = [(name, str(_DET_METHODS[name](spec))) for name in names]
+
+    def doc():
+        return {
             "kind": args.kind,
             "r": args.r,
             "a0": args.a0,
@@ -87,14 +94,15 @@ def _cmd_det(args: argparse.Namespace) -> int:
             "stride": args.stride,
             "n": args.n,
             "entries": [str(e) for e in spec.entries],
-            "values": {name: str(values[name]) for name in names},
+            "values": dict(values),
         }
-        print(json.dumps(doc))
-    else:
-        writer = _csv_writer()
-        writer.writerow(["method", "value"])
-        for name in names:
-            writer.writerow([name, str(values[name])])
+
+    emit(
+        lambda: [values[0][1]] if len(values) == 1 else ["%s %s" % pair for pair in values],
+        doc,
+        ["method", "value"],
+        lambda: values,
+    )
     return 0
 
 
@@ -112,43 +120,36 @@ def _parse_pieces(text: str) -> PieceSet:
     return PieceSet(tuple(items))
 
 
-def _cmd_tilings(args: argparse.Namespace) -> int:
+def _cmd_tilings(args: argparse.Namespace, emit: Callable[..., None]) -> int:
     pieces = _parse_pieces(args.pieces)
-    count = count_tilings(args.length, pieces)
+    count = str(count_tilings(args.length, pieces))
     tilings = enumerate_tilings(args.length, pieces) if args.enumerate else None
     colors = dict(pieces.pieces)
 
-    def token(piece):
-        plen, color = piece
-        return str(plen) if colors[plen] == 1 else "%d:%d" % (plen, color)
+    def line(tiling):
+        return " ".join(
+            str(plen) if colors[plen] == 1 else "%d:%d" % (plen, color) for plen, color in tiling
+        )
 
-    if args.format == "plain":
-        print(count)
+    def doc():
+        out = {"length": args.length, "pieces": [list(p) for p in pieces.pieces], "count": count}
         if tilings is not None:
-            for tiling in tilings:
-                print(" ".join(token(p) for p in tiling))
-    elif args.format == "json":
-        doc = {
-            "length": args.length,
-            "pieces": [list(p) for p in pieces.pieces],
-            "count": str(count),
-        }
-        if tilings is not None:
-            doc["tilings"] = [[list(p) for p in tiling] for tiling in tilings]
-        print(json.dumps(doc))
+            out["tilings"] = [[list(p) for p in tiling] for tiling in tilings]
+        return out
+
+    if tilings is None:
+        emit(lambda: [count], doc, ["count"], lambda: [[count]])
     else:
-        writer = _csv_writer()
-        if tilings is None:
-            writer.writerow(["count"])
-            writer.writerow([str(count)])
-        else:
-            writer.writerow(["index", "tiling"])
-            for i, tiling in enumerate(tilings):
-                writer.writerow([i, " ".join(token(p) for p in tiling)])
+        emit(
+            lambda: [count] + [line(t) for t in tilings],
+            doc,
+            ["index", "tiling"],
+            lambda: enumerate(map(line, tilings)),
+        )
     return 0
 
 
-def _cmd_gf(args: argparse.Namespace) -> int:
+def _cmd_gf(args: argparse.Namespace, emit: Callable[..., None]) -> int:
     if args.family not in GF_FAMILIES:
         raise ValueError("unknown series family %r" % args.family)
     r = args.r
@@ -158,27 +159,22 @@ def _cmd_gf(args: argparse.Namespace) -> int:
         else:
             raise ValueError("family %r requires --r" % args.family)
     gf = gf_catalog(args.family, r)
-    coeffs = expand_rational(gf, args.terms)
-    if args.format == "plain":
-        print(" ".join(str(c) for c in coeffs))
-    elif args.format == "json":
-        doc = {
+    coeffs = [str(c) for c in expand_rational(gf, args.terms)]
+
+    def doc():
+        return {
             "family": args.family,
             "r": r,
             "num": list(gf.num.coeffs),
             "den": list(gf.den.coeffs),
-            "coefficients": [str(c) for c in coeffs],
+            "coefficients": coeffs,
         }
-        print(json.dumps(doc))
-    else:
-        writer = _csv_writer()
-        writer.writerow(["n", "coefficient"])
-        for n, c in enumerate(coeffs, start=1):
-            writer.writerow([n, str(c)])
+
+    emit(lambda: [" ".join(coeffs)], doc, ["n", "coefficient"], lambda: enumerate(coeffs, start=1))
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace, emit: Callable[..., None]) -> int:
     ids = None
     if args.ids is not None:
         ids = [tok.strip() for tok in args.ids.split(",") if tok.strip()]
@@ -195,58 +191,40 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     )
     if not reports:
         raise ValueError("no in-domain check for these --ids, --r-set and --nmax")
-    records = [
-        {
-            "id": rep.id,
-            "r": rep.r,
-            "n": rep.n,
-            "lhs": str(rep.lhs),
-            "rhs": str(rep.rhs),
-            "pass": rep.passed,
-        }
-        for rep in reports
-    ]
-    if args.format == "plain":
+    counts = {"checked": summary.checked, "passed": summary.passed, "failed": summary.failed}
+
+    def plain():
         for rep in reports:
-            print(
-                "%s %s r=%s n=%d lhs=%d rhs=%d"
-                % (
-                    "PASS" if rep.passed else "FAIL",
-                    rep.id,
-                    "-" if rep.r is None else rep.r,
-                    rep.n,
-                    rep.lhs,
-                    rep.rhs,
-                )
+            yield "%s %s r=%s n=%d lhs=%d rhs=%d" % (
+                "PASS" if rep.passed else "FAIL",
+                rep.id,
+                "-" if rep.r is None else rep.r,
+                rep.n,
+                rep.lhs,
+                rep.rhs,
             )
-        print(
-            "checked=%d passed=%d failed=%d"
-            % (summary.checked, summary.passed, summary.failed)
-        )
-    elif args.format == "json":
-        doc = {
-            "reports": records,
-            "summary": {
-                "checked": summary.checked,
-                "passed": summary.passed,
-                "failed": summary.failed,
-            },
-        }
-        print(json.dumps(doc))
-    else:
-        writer = _csv_writer()
-        writer.writerow(["id", "r", "n", "lhs", "rhs", "pass"])
-        for rec in records:
-            writer.writerow(
-                [
-                    rec["id"],
-                    "" if rec["r"] is None else rec["r"],
-                    rec["n"],
-                    rec["lhs"],
-                    rec["rhs"],
-                    "true" if rec["pass"] else "false",
-                ]
-            )
+        yield "checked=%(checked)d passed=%(passed)d failed=%(failed)d" % counts
+
+    def doc():
+        records = [
+            {
+                "id": rep.id,
+                "r": rep.r,
+                "n": rep.n,
+                "lhs": str(rep.lhs),
+                "rhs": str(rep.rhs),
+                "pass": rep.passed,
+            }
+            for rep in reports
+        ]
+        return {"reports": records, "summary": counts}
+
+    def rows():
+        for rep in reports:
+            r = "" if rep.r is None else rep.r
+            yield [rep.id, r, rep.n, str(rep.lhs), str(rep.rhs), "true" if rep.passed else "false"]
+
+    emit(plain, doc, ["id", "r", "n", "lhs", "rhs", "pass"], rows)
     return 1 if summary.failed else 0
 
 
@@ -262,7 +240,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_seq.add_argument("--r", type=int, default=None, help="order for parametric families")
     p_seq.add_argument("--from", dest="start", type=int, required=True, metavar="A")
     p_seq.add_argument("--to", dest="stop", type=int, required=True, metavar="B")
-    p_seq.add_argument("--format", choices=_FORMATS, default="plain")
     p_seq.set_defaults(handler=_cmd_seq)
 
     p_det = sub.add_parser("det", help="one Toeplitz-Hessenberg determinant")
@@ -272,8 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--start", type=int, required=True, help="index of the first entry")
     p_det.add_argument("--stride", type=int, choices=(1, 2), required=True)
     p_det.add_argument("-n", dest="n", type=int, required=True, help="matrix size")
-    p_det.add_argument("--method", choices=_DET_ORDER + ("all",), default="recurrence")
-    p_det.add_argument("--format", choices=_FORMATS, default="plain")
+    p_det.add_argument("--method", choices=tuple(_DET_METHODS) + ("all",), default="recurrence")
     p_det.set_defaults(handler=_cmd_det)
 
     p_til = sub.add_parser("tilings", help="count or list strip tilings")
@@ -284,14 +260,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma list of piece lengths, each optionally :colorcount",
     )
     p_til.add_argument("--enumerate", action="store_true")
-    p_til.add_argument("--format", choices=_FORMATS, default="plain")
     p_til.set_defaults(handler=_cmd_tilings)
 
     p_gf = sub.add_parser("gf", help="series coefficients from the catalog")
     p_gf.add_argument("--family", required=True, help="one of %s" % (", ".join(GF_FAMILIES)))
     p_gf.add_argument("--r", type=int, default=None)
     p_gf.add_argument("--terms", type=int, required=True)
-    p_gf.add_argument("--format", choices=_FORMATS, default="plain")
     p_gf.set_defaults(handler=_cmd_gf)
 
     p_ver = sub.add_parser("verify", help="run the identity registry")
@@ -299,9 +273,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--r-set", dest="r_set", default=None, help="comma list of r values")
     p_ver.add_argument("--nmax", type=int, default=DEFAULT_N_MAX)
     p_ver.add_argument("--fail-fast", action="store_true")
-    p_ver.add_argument("--format", choices=_FORMATS, default="plain")
     p_ver.set_defaults(handler=_cmd_verify)
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
     return parser
 
 
@@ -319,7 +294,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         cap = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        return args.handler(args)
+        return args.handler(args, partial(_emit, args.format))
     except (ValueError, OverflowError, MemoryError) as exc:
         # oversized values fail here too, before or while allocating
         print("error: %s" % (str(exc) or type(exc).__name__), file=sys.stderr)
@@ -330,4 +305,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # so a closed pipe shows here and not at exit
+    except BrokenPipeError:
+        # the reader is gone: send the rest to devnull, so the flush at exit
+        # cannot fail again, and exit as a process ended by SIGPIPE does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)

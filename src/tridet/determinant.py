@@ -22,7 +22,6 @@ evaluation routes cross-certify each other:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import add, mul, sub
@@ -30,6 +29,7 @@ from typing import Iterable, List, Optional, Tuple
 
 from .combinatorics import compositions, multinomial, partitions
 from .sequences import SequenceKind, extend_terms, seeds_and_lags
+from .series import rational_coefficients
 
 TRUDI_PARTITION_CAP = 45
 COMPOSITION_CAP = 20
@@ -241,15 +241,7 @@ def det_sequence(spec: HessenbergSpec) -> List[int]:
     if spec.rule is None:
         return det_prefixes(spec)
     num, den = _rational(spec)
-    order = len(den) - 1
-    tail = den[:0:-1]  # den_L, ..., den_1, aligned with the window oldest first
-    window = deque([0] * order, maxlen=order)
-    dets = []
-    for m in range(spec.n + 1):
-        d = (num[m] if m <= order else 0) - sum(map(mul, tail, window))
-        window.append(d)
-        dets.append(d)
-    return dets
+    return rational_coefficients(num, den, spec.n)
 
 
 def det_recurrence(spec: HessenbergSpec) -> int:

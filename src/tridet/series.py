@@ -9,8 +9,10 @@ a plain pair of integer polynomials.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from operator import mul
+from typing import Dict, List, Sequence, Tuple
 
 GF_FAMILIES = ("i22", "i23", "i24", "i28", "i29", "i30")
 
@@ -48,24 +50,32 @@ class RationalGF:
     den: IntPolynomial
 
 
-def expand_rational(gf: RationalGF, terms: int) -> List[int]:
-    """Coefficients of x^1 .. x^terms of the series num/den.
+def rational_coefficients(num: Sequence[int], den: Sequence[int], n: int) -> List[int]:
+    """c_0 .. c_n of the series num/den, for den[0] == 1; num may be the longer.
 
-    c_n = num_n - sum_{k>=1} den_k * c_(n-k), anchored at c_0 = num_0,
-    which is exact division-free long division when den(0) = 1.
+    c_m = num_m - sum_{k>=1} den_k * c_(m-k) is exact division-free long
+    division.  The output is allocated first, so an oversized n fails before
+    any term is computed.
     """
+    coeffs = [0] * (n + 1)
+    order = len(den) - 1
+    tail = den[:0:-1]  # den_L, ..., den_1, aligned with the window oldest first
+    window = deque([0] * order, maxlen=order)
+    for m in range(n + 1):
+        c = (num[m] if m < len(num) else 0) - sum(map(mul, tail, window))
+        window.append(c)
+        coeffs[m] = c
+    return coeffs
+
+
+def expand_rational(gf: RationalGF, terms: int) -> List[int]:
+    """Coefficients of x^1 .. x^terms of the series num/den (den(0) = 1)."""
     if terms < 1:
         raise ValueError("terms must be positive, got %d" % terms)
     den = gf.den.coeffs
     if den[0] != 1:
         raise ValueError("denominator constant term must be 1, got %d" % den[0])
-    coeffs = [0] * (terms + 1)
-    for n in range(terms + 1):
-        c = gf.num.coefficient(n)
-        for k in range(1, min(n, gf.den.degree) + 1):
-            c -= den[k] * coeffs[n - k]
-        coeffs[n] = c
-    return coeffs[1:]
+    return rational_coefficients(gf.num.coeffs, den, terms)[1:]
 
 
 def _poly(monomials: Dict[int, int]) -> IntPolynomial:

@@ -4,7 +4,10 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -63,19 +66,72 @@ def test_cap_still_applies_while_parsing(capsys):
     assert "invalid int value" in capsys.readouterr().err
 
 
-# SHA-256 of stdout, pinned when the outputs were known to be right
+_DET14 = ("det", "--a0", "1", "--kind", "tribonacci", "--start", "3", "--stride", "2", "-n", "14")
+_SEQ = ("seq", "gen-tribonacci", "--r", "5", "--from", "3", "--to", "40")
+_TILINGS = ("tilings", "--length", "7", "--pieces", "1,2:2,3")
+_GF = ("gf", "--family", "i22", "--r", "5", "--terms", "30")  # num longer than den
+_VERIFY = ("verify", "--ids", "I-19,I-19b,I-36", "--r-set", "3,4", "--nmax", "9")  # r = None rows
+
+# SHA-256 of stdout, pinned when the outputs were known to be right; help
+# text is pinned at COLUMNS=80
 GOLDEN_STDOUT = {
     ("verify",): "aae83a46eb9dbcf55832facdc910c8e8bab2bc45a552ad185c62291f6fc26e31",
     ("verify", "--format", "json"):
         "095275bde3399fc5bfe58901f7eda6a1472bf8ccb9bb912e64f1d7e8f8eb75c0",
-    ("det", "--a0", "1", "--kind", "tribonacci", "--start", "3", "--stride", "2", "-n", "14",
-     "--method", "all"):
+    ("verify", "--format", "csv"):
+        "eaac0f641be6bc93315367963891f1a0590e77dbf4d8d71d02890399c77784fa",
+    _DET14 + ("--method", "all"):
         "5496d1b5cc35c0d4f27e1cb57cd3cc1cb84cfb211579d9ab721eb192fafb40d4",
+    _DET14 + ("--method", "all", "--format", "json"):
+        "45d7c621f77174ebdf37bcd283cfefc54c1988a69ca88889f58e168b54666b63",
+    _DET14 + ("--method", "all", "--format", "csv"):
+        "7beeae6482e5167b8e6d4fc75608d5ed541b9a58f691fb79315db6839f995e43",
+    _DET14 + ("--format", "plain"):
+        "8874cfd15c0e2d6f921d5d20b03268872f87cfc272e2fe61f1f5d25de3b7028b",
+    _DET14 + ("--format", "json"):
+        "b19a7ea66004f6699354d650c7f9e46902d2f7511a96a6a2fff38cf05537a4bd",
+    _DET14 + ("--format", "csv"):
+        "a534ea549b6818d5386838c2633568499add6a710466c86edbf0817131d034de",
+    _SEQ + ("--format", "json"):
+        "b3b48121ef480fa5458c6f612d8570f05ed784cdd0d6b6978a97bfa80ad71310",
+    _SEQ + ("--format", "csv"):
+        "8e6f10982b9272d79fc1375b6b61b7fc2023bf1203510e4ce6076de2af931184",
+    _TILINGS + ("--format", "plain"):
+        "38a407cd7d38b41132709485046d7817571b73c32433877751399e229ce11ce2",
+    _TILINGS + ("--format", "json"):
+        "f9ff98c5cc9cfc0cbbb0b8c730dd3b52e2d189aec353621feb6770d14c8b3c22",
+    _TILINGS + ("--format", "csv"):
+        "14fbd0c3e6ce101a5f51e8476c7b157bc89cdec20fdb7c57135222a6b16a8a24",
+    _TILINGS + ("--enumerate", "--format", "plain"):
+        "18d7c6aecac209fb8187088570d68eb5d49a59a2351f01c345b1cda642251390",
+    _TILINGS + ("--enumerate", "--format", "json"):
+        "d950dd5225df40d7e671d290f4dae9ed170f7a050b65ce97d9c8a45271a0ccaf",
+    _TILINGS + ("--enumerate", "--format", "csv"):
+        "f4d97b8c2848e051360551b8da1e019e3603ca38f3b3e27284e157144513bcec",
+    _GF + ("--format", "plain"):
+        "21876b03e6387ab0859b49c516644fbbedbea2a5ae5fd6b070b5073565945db3",
+    _GF + ("--format", "json"):
+        "cd1fefadb80a2ac83deddffe3dc843fe6652322fd0ef585ccaaa83fed1eb50be",
+    _GF + ("--format", "csv"):
+        "1c80b25c5e5d689362e610afb443737c77465ab82f7d0054a66914892dfbb6fb",
+    _VERIFY + ("--format", "plain"):
+        "87ffdb1aee129ee581e5e5bf99c5843fab9881c42b0678f525e83a3b64c7fc8d",
+    _VERIFY + ("--format", "json"):
+        "2f148421fe34baeb343f33a61d19fc60c276cae02b40e2d8339926cd89027d90",
+    _VERIFY + ("--format", "csv"):
+        "8ff9d3792018e051d04a80cdef5baccdd5333159c79657347726d6da850813fd",
+    ("--help",): "587608d5695b85b71d21875cfd37fb4defaa9a271cff41ffa96c8b904fbb5856",
+    ("seq", "--help"): "bbe4feaeed14efc3a856d6c3cd359fb5d1c239f6d4842cb3769dc3ad07206b36",
+    ("det", "--help"): "4237afd1d40e4004b9aedeb5d4c26ed4722d54fb00ca5c37a4f8a5db82aeedeb",
+    ("tilings", "--help"): "9b92c93a2cabc6024157c20e6eb62145c21c7eb736ace8edb69f118ad2bffa80",
+    ("gf", "--help"): "6ac0a8f309585ff04b79dbee1661acef19fbdbe08e22a26132367eed44bd83d7",
+    ("verify", "--help"): "0228b40cf742e2202c06b4d619a29b36c111c8b3331976758be3062257bf18f0",
 }
 
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN_STDOUT), ids=" ".join)
-def test_golden_stdout_bytes(argv, capsys):
+def test_golden_stdout_bytes(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
     assert run(list(argv)) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == GOLDEN_STDOUT[argv]
@@ -257,3 +313,29 @@ def test_top_level_usage(capsys):
     assert run(["frobnicate"]) == 2
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["seq", "tribonacci", "--from", "0", "--to", "3000"],
+        ["verify", "--nmax", "60"],
+    ],
+    ids=" ".join,
+)
+def test_closed_pipe_exits_quietly(argv):
+    # both outputs are far larger than a pipe buffer, so writing must fail
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tridet"] + argv,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(20)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert b"Traceback" not in err
+    assert proc.returncode == 141  # 128 + SIGPIPE, as the shell reports for cat
