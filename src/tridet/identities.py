@@ -2,24 +2,27 @@
 
 Each case pairs a determinant left side (an entry rule over a sequence
 family, evaluated by the C-finite determinant route) with an independently
-coded right side: a closed form, an auxiliary recurrence, or a series
-coefficient.  Every case is evaluated one way, by its sweep: the (lhs, rhs)
-pairs for n = lo..hi at one r, from one determinant sequence and one pass
-over the right side.  evaluate, rule and rhs are single-point views of the
-same case.  A report passes when the two integers are equal; failures are
-data, never exceptions.  Checks outside a case's stated (r, n) domain are
-refused rather than silently passed.
+coded right side: a closed form, an auxiliary recurrence, a series
+coefficient, or one of the paper's binomial sums.  Every case is evaluated
+one way, by its sweep: the (lhs, rhs) pairs for n = lo..hi at one r, from
+one determinant sequence and one pass over the right side, O(n) terms per
+(case, r).  A binomial sum is a seeded recurrence (_seeded): the paper's sum
+gives the first few values and the short recurrence it obeys by Pascal's
+rule, named next to each case, gives the rest.  evaluate, rule and rhs are
+single-point views of the same case.  A report passes when the two integers
+are equal; failures are data, never exceptions.  Checks outside a case's
+stated (r, n) domain are refused rather than silently passed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .combinatorics import binomial
 from .determinant import EntryRule, det_sequence, make_entries
-from .sequences import SequenceKind, seq_range, seq_term
-from .series import expand_rational, gf_catalog
+from .sequences import SequenceKind, seeds_and_lags, seq_term
+from .series import expand_rational, gf_catalog, rational_coefficients
 
 DEFAULT_R_SET = (2, 3, 4, 5, 6, 7, 8)
 DEFAULT_N_MAX = 24
@@ -58,8 +61,7 @@ class IdentityCase:
     rhs: Optional[RhsFn] = None
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Outcome of one (identity, r, n) check; passed means lhs == rhs exactly."""
 
     id: str
@@ -70,8 +72,7 @@ class IdentityReport:
     passed: bool
 
 
-@dataclass(frozen=True)
-class VerificationSummary:
+class VerificationSummary(NamedTuple):
     checked: int
     passed: int
     failed: int
@@ -99,6 +100,39 @@ def _alternate(values: List[int], lo: int) -> List[int]:
 def _coeffs(family: str, r: int, lo: int, hi: int) -> List[int]:
     """Catalog series coefficients of x^lo..x^hi, from one expansion."""
     return expand_rational(gf_catalog(family, r), hi)[lo - 1 :]
+
+
+def _seeded(
+    paper_sum: Callable[[int], int], steps: Sequence[Tuple[int, int]], top: int
+) -> List[int]:
+    """v(0..top) of a sum that obeys v(m) = sum of c * v(m - lag) over steps (lag, c).
+
+    The first max(lag) values come from the sum itself, the rest from the
+    recurrence, so each value costs len(steps) products, not a fresh sum.
+    """
+    order = max(lag for lag, _ in steps)
+    v = [paper_sum(m) for m in range(min(order, top + 1))]
+    for m in range(order, top + 1):
+        v.append(sum(c * v[m - lag] for lag, c in steps))
+    return v
+
+
+def _tiling_sums(k: int, weight: int, square: int, top: int) -> List[int]:
+    """v(0..top) of v(m) = sum_i C(m-(k-1)i, i) * weight^i * square^(m-ki).
+
+    The i-th term counts the tilings of m by squares and i k-minos, with
+    the factor square per square and weight per k-mino, so by Pascal's rule
+    v(m) = square * v(m-1) + weight * v(m-k).  Most of the paper's binomial
+    sums are this one at some k, weights and argument m.
+    """
+
+    def paper_sum(m: int) -> int:
+        return sum(
+            binomial(m - (k - 1) * i, i) * weight**i * square ** (m - k * i)
+            for i in range(m // k + 1)
+        )
+
+    return _seeded(paper_sum, ((1, square), (k, weight)), top)
 
 
 def _case(
@@ -170,7 +204,7 @@ def _rhs_i04(r: Optional[int], lo: int, hi: int) -> List[int]:
     return c[lo - 2 : hi - 1]
 
 
-def _rhs_i09(r: Optional[int], n: int) -> int:
+def _sum_i09(n: int) -> int:
     total = 0
     for i in range(n):
         b = binomial(n - 1 - i, i // 2)
@@ -179,7 +213,13 @@ def _rhs_i09(r: Optional[int], n: int) -> int:
         e = n - 1 - i - i // 2
         assert e >= 0, "exponent went negative with a live binomial"
         total += 2**e * b
-    return _neg1(n - 1) * total
+    return total
+
+
+def _rhs_i09(r: Optional[int], lo: int, hi: int) -> List[int]:
+    # even and odd i split the sum into A(n-1) + A(n-2), where
+    # A(m) = sum_j 2^(m-3j) C(m-2j, j) obeys A(m) = 2A(m-1) + A(m-3); so does the sum
+    return _alternate(_seeded(_sum_i09, ((1, 2), (3, 1)), hi)[lo:], lo)
 
 
 def _rhs_i10(r: Optional[int], n: int) -> int:
@@ -191,20 +231,27 @@ def _rhs_i10(r: Optional[int], n: int) -> int:
     return 0
 
 
-def _rhs_i19(r: Optional[int], n: int) -> int:
+def _rhs_i12(r: Optional[int], lo: int, hi: int) -> List[int]:
+    def paper_sum(n: int) -> int:
+        return sum(binomial(n + 2 + i, n + 1 - 2 * i) for i in range((n + 1) // 2 + 1))
+
+    # g(m) = sum_i C(m+i, m-1-2i) at m = n + 2: g(m) = 3g(m-1) - 2g(m-2) + g(m-3)
+    return _seeded(paper_sum, ((1, 3), (2, -2), (3, 1)), hi)[lo:]
+
+
+def _rhs_i19(r: Optional[int], lo: int, hi: int) -> List[int]:
     assert r is not None
     if r % 2 == 1:
-        return 4 * _neg1(n - 1)
-    total = sum(
-        binomial(n - 1 - (r // 2 - 1) * i, i) for i in range(2 * (n - 1) // r + 1)
-    )
-    # boundary tilings not covered by the sum: all-dominoes (n = 1) and the
-    # single long piece (2n = r)
-    if n == 1:
-        total += 1
-    if 2 * n == r:
-        total += 1
-    return _neg1(n - 1) * total
+        return [4 * _neg1(n - 1) for n in range(lo, hi + 1)]
+    # the sum of C(n-1-(r/2-1)i, i) is u(n-1), u(m) = u(m-1) + u(m-r/2)
+    u = _tiling_sums(r // 2, 1, 1, hi - 1)
+    out = []
+    for n in range(lo, hi + 1):
+        # boundary tilings not covered by the sum: all-dominoes (n = 1) and
+        # the single long piece (2n = r)
+        total = u[n - 1] + (n == 1) + (2 * n == r)
+        out.append(_neg1(n - 1) * total)
+    return out
 
 
 def _rhs_i20(r: int, lo: int, hi: int) -> List[int]:
@@ -237,12 +284,26 @@ def _rhs_i21(r: int, lo: int, hi: int) -> List[int]:
     return _alternate(vals[lo:], lo)
 
 
+def _square(poly: List[int]) -> List[int]:
+    out = [0] * (2 * len(poly) - 1)
+    for i, a in enumerate(poly):
+        for j, b in enumerate(poly):
+            out[i + j] += a * b
+    return out
+
+
 def _rhs_i23(r: Optional[int], lo: int, hi: int) -> List[int]:
     assert r is not None
     if r % 2 == 1:
         return _alternate(_coeffs("i23", r, lo, hi), lo)
-    half = seq_range(SequenceKind("square-rmino", r // 2), 0, hi - 1)
-    conv = [sum(half[i] * half[n - 1 - i] for i in range(n)) for n in range(lo, hi + 1)]
+    # the convolution sum_i h(i) h(n-1-i) of the half-order square-and-r-mino
+    # count h is [x^(n-1)] of (P/Q)^2, where P/Q is h's series from its seeds and lags
+    seeds, lags = seeds_and_lags(SequenceKind("square-rmino", r // 2))
+    q = [1] + [0] * max(lags)
+    for lag in lags:
+        q[lag] -= 1
+    p = [sum(q[j] * seeds[i - j] for j in range(i + 1)) for i in range(len(seeds))]
+    conv = rational_coefficients(_square(p), _square(q), hi - 1)[lo - 1 :]
     return _alternate(conv, lo)
 
 
@@ -261,10 +322,10 @@ def _rhs_i25(r: Optional[int], n: int) -> int:
     return 0
 
 
-def _aux_i31(m: int) -> int:
-    return sum(
-        binomial(m - 2 * i, i) * 2**i * 3 ** (m - 3 * i) for i in range(m // 3 + 1)
-    )
+def _rhs_i31(r: Optional[int], lo: int, hi: int) -> List[int]:
+    # a(m) = sum_i C(m-2i, i) 2^i 3^(m-3i) obeys a(m) = 3a(m-1) + 2a(m-3)
+    a = _tiling_sums(3, 2, 3, hi - 2)
+    return _alternate([a[n - 2] - a[n - 3] for n in range(lo, hi + 1)], lo)
 
 
 def _sweep_i34(r: Optional[int], lo: int, hi: int) -> List[Tuple[int, int]]:
@@ -276,18 +337,21 @@ def _sweep_i34(r: Optional[int], lo: int, hi: int) -> List[Tuple[int, int]]:
     ksf = SequenceKind("k-step-fibonacci", r)
     dets_a = det_sequence(make_entries(EntryRule(ksf, 0, 1, 1), hi))
     dets_b = det_sequence(make_entries(EntryRule(ksf, r - 1, 1, 1), hi))
+    # the (r-1)-step family exists from r = 3; r = 2 has its one-step count below
+    shorter = SequenceKind("k-step-fibonacci", r - 1) if r > 2 else None
+    spaced = SequenceKind("q-sequence", r)
     out = []
     for n in range(lo, hi + 1):
         pairs = []
         if n >= r - 1:
-            if r == 2:
+            if shorter is None:
                 # one-step count: a single all-squares tiling for n >= 2,
                 # no tiling of negative length at n = 1
                 rhs = 0 if n == 1 else _neg1(n - 1)
             else:
-                rhs = _neg1(n - 1) * seq_term(SequenceKind("k-step-fibonacci", r - 1), n - 2)
+                rhs = _neg1(n - 1) * seq_term(shorter, n - 2)
             pairs.append((dets_a[n], rhs))
-        rhs_b = _neg1(n - 1) * seq_term(SequenceKind("q-sequence", r), n + r - 1)
+        rhs_b = _neg1(n - 1) * seq_term(spaced, n + r - 1)
         pairs.append((dets_b[n], rhs_b))
         out.append(next((p for p in pairs if p[0] != p[1]), pairs[0]))
     return out
@@ -350,16 +414,17 @@ def registry() -> List[IdentityCase]:
             "I-05",
             "tribonacci entries from index 1: signed sum of C(n-2-2i, i)",
             rule=_trib_rule(1, 1, 1),
-            rhs=lambda r, n: _neg1(n - 1)
-            * sum(binomial(n - 2 - 2 * i, i) for i in range((n - 2) // 3 + 1)),
+            # f(n-2), f(m) = f(m-1) + f(m-3); the empty sum f(-1) = 0 serves n = 1
+            rhs=_Terms(
+                lambda r, lo, hi: _alternate(([0] + _tiling_sums(3, 1, 1, hi - 2))[lo - 1 :], lo)
+            ),
         ),
         _case(
             "I-06",
             "tribonacci entries from index 1 with a0 = -1: sum of C(2n-4-2i, i)",
             rule=_trib_rule(1, 1, -1),
-            rhs=lambda r, n: sum(
-                binomial(2 * n - 4 - 2 * i, i) for i in range((2 * n - 4) // 3 + 1)
-            ),
+            # f(2n-4), f(m) = f(m-1) + f(m-3)
+            rhs=_Terms(lambda r, lo, hi: _tiling_sums(3, 1, 1, 2 * hi - 4)[2 * lo - 4 :: 2]),
             n_min=2,
         ),
         _case(
@@ -380,7 +445,7 @@ def registry() -> List[IdentityCase]:
             "I-09",
             "odd-indexed tribonacci entries from index 3: signed power-of-two binomial sum",
             rule=_trib_rule(3, 2, 1),
-            rhs=_rhs_i09,
+            rhs=_Terms(_rhs_i09),
         ),
         _case(
             "I-10",
@@ -400,9 +465,7 @@ def registry() -> List[IdentityCase]:
             "I-12",
             "tribonacci entries from index 5: sum of C(n+2+i, n+1-2i)",
             rule=_trib_rule(5, 1, 1),
-            rhs=lambda r, n: sum(
-                binomial(n + 2 + i, n + 1 - 2 * i) for i in range((n + 1) // 2 + 1)
-            ),
+            rhs=_Terms(_rhs_i12),
         ),
         _case(
             "I-13",
@@ -446,10 +509,8 @@ def registry() -> List[IdentityCase]:
             "I-18",
             "order-r tribonacci entries from index r+1: alternating sum of C(n-(r-2)i, i)",
             rule=_gt_rule(lambda r: r + 1, 1, 1),
-            rhs=lambda r, n: sum(
-                _neg1(r * i) * binomial(n - (r - 2) * i, i)
-                for i in range(n // (r - 1) + 1)
-            ),
+            # h(n) = h(n-1) + (-1)^r h(n-r+1)
+            rhs=_Terms(lambda r, lo, hi: _tiling_sums(r - 1, _neg1(r), 1, hi)[lo:]),
             r_ok=_any_r,
             n_min=2,
         ),
@@ -457,7 +518,7 @@ def registry() -> List[IdentityCase]:
             "I-19",
             "odd-indexed order-r entries from index r+1: 4 up to sign (odd r), binomial sum with boundary terms (even r)",
             rule=_gt_rule(lambda r: r + 1, 2, 1),
-            rhs=_rhs_i19,
+            rhs=_Terms(_rhs_i19),
             r_ok=_any_r,
             n_min=lambda r: r if r % 2 == 1 else 1,
         ),
@@ -550,7 +611,7 @@ def registry() -> List[IdentityCase]:
             "I-31",
             "even-indexed tribonacci entries from index 0: signed difference of weighted binomial sums",
             rule=_trib_rule(0, 2, 1),
-            rhs=lambda r, n: _neg1(n - 1) * (_aux_i31(n - 2) - _aux_i31(n - 3)),
+            rhs=_Terms(_rhs_i31),
             n_min=3,
         ),
         _case(
@@ -559,9 +620,9 @@ def registry() -> List[IdentityCase]:
             rule=lambda r: EntryRule(
                 SequenceKind("skip-tribonacci", r), (r - 1) // 2, 1, -1
             ),
-            rhs=lambda r, n: sum(
-                binomial(2 * n - r - 1 - (r - 1) * i, i)
-                for i in range((2 * n - r - 1) // r + 1)
+            # v(2n-r-1), v(M) = v(M-1) + v(M-r)
+            rhs=_Terms(
+                lambda r, lo, hi: _tiling_sums(r, 1, 1, 2 * hi - r - 1)[2 * lo - r - 1 :: 2]
             ),
             r_ok=_odd,
             n_min=lambda r: (r + 1) // 2,

@@ -11,9 +11,10 @@ from pathlib import Path
 
 import pytest
 
+import tridet.cli as cli_module
 import tridet.identities as identities_module
 from tridet import IdentityCase
-from tridet.cli import run
+from tridet.cli import NMAX_CEILING, run
 
 
 def test_seq_plain_exact_bytes(capsys):
@@ -306,6 +307,28 @@ def test_verify_selecting_no_check_exits_two(argv, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_verify_nmax_above_the_ceiling_exits_two(monkeypatch, capsys):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("verify swept past the --nmax ceiling")
+
+    monkeypatch.setattr(cli_module, "check_all", no_sweep)
+    assert run(["verify", "--nmax", str(NMAX_CEILING + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    too_high = NMAX_CEILING + 1
+    assert lines == ["error: --nmax %d is above the ceiling of %d" % (too_high, NMAX_CEILING)]
+    assert run(["verify", "--nmax", str(10**20)]) == 2
+    capsys.readouterr()
+
+
+def test_verify_nmax_at_the_ceiling_runs(capsys):
+    assert run(["verify", "--ids", "I-08", "--nmax", str(NMAX_CEILING)]) == 0
+    # I-08 holds from n = 4
+    checks = NMAX_CEILING - 3
+    assert capsys.readouterr().out.endswith("checked=%d passed=%d failed=0\n" % (checks, checks))
 
 
 def test_top_level_usage(capsys):

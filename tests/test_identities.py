@@ -11,6 +11,7 @@ from tridet import (
     EntryRule,
     IdentityCase,
     SequenceKind,
+    binomial,
     check_all,
     check_identity,
     expand_rational,
@@ -322,6 +323,40 @@ def _rhs_i23(r, n):
     return _neg1(n - 1) * conv
 
 
+def _rhs_i09(r, n):
+    total = 0
+    for i in range(n):
+        b = binomial(n - 1 - i, i // 2)
+        if b == 0:
+            continue
+        e = n - 1 - i - i // 2
+        assert e >= 0, "exponent went negative with a live binomial"
+        total += 2**e * b
+    return _neg1(n - 1) * total
+
+
+def _rhs_i19(r, n):
+    assert r is not None
+    if r % 2 == 1:
+        return 4 * _neg1(n - 1)
+    total = sum(
+        binomial(n - 1 - (r // 2 - 1) * i, i) for i in range(2 * (n - 1) // r + 1)
+    )
+    # boundary tilings not covered by the sum: all-dominoes (n = 1) and the
+    # single long piece (2n = r)
+    if n == 1:
+        total += 1
+    if 2 * n == r:
+        total += 1
+    return _neg1(n - 1) * total
+
+
+def _aux_i31(m):
+    return sum(
+        binomial(m - 2 * i, i) * 2**i * 3 ** (m - 3 * i) for i in range(m // 3 + 1)
+    )
+
+
 # (case id, parity of r or None for any, per-n right side)
 _PER_N_RIGHT_SIDES = [
     ("I-04", None, _rhs_i04),
@@ -334,6 +369,26 @@ _PER_N_RIGHT_SIDES = [
     ("I-28", None, lambda r, n: _gf_coeff("i28", r, n)),
     ("I-29", None, lambda r, n: _gf_coeff("i29", r, n)),
     ("I-30", None, lambda r, n: _gf_coeff("i30", r, n)),
+    ("I-05", None, lambda r, n: _neg1(n - 1)
+     * sum(binomial(n - 2 - 2 * i, i) for i in range((n - 2) // 3 + 1))),
+    ("I-06", None, lambda r, n: sum(
+        binomial(2 * n - 4 - 2 * i, i) for i in range((2 * n - 4) // 3 + 1)
+    )),
+    ("I-09", None, _rhs_i09),
+    ("I-12", None, lambda r, n: sum(
+        binomial(n + 2 + i, n + 1 - 2 * i) for i in range((n + 1) // 2 + 1)
+    )),
+    ("I-18", None, lambda r, n: sum(
+        _neg1(r * i) * binomial(n - (r - 2) * i, i)
+        for i in range(n // (r - 1) + 1)
+    )),
+    ("I-19", 1, _rhs_i19),
+    ("I-19", 0, _rhs_i19),
+    ("I-31", None, lambda r, n: _neg1(n - 1) * (_aux_i31(n - 2) - _aux_i31(n - 3))),
+    ("I-32", None, lambda r, n: sum(
+        binomial(2 * n - r - 1 - (r - 1) * i, i)
+        for i in range((2 * n - r - 1) // r + 1)
+    )),
 ]
 
 
@@ -354,3 +409,30 @@ def test_sequence_right_sides_match_the_per_n_forms(data):
     swept = [rhs for _, rhs in case.sweep(r, lo, hi)]
     assert swept == [per_n(r, n) for n in range(lo, hi + 1)]
     assert swept == [case.rhs(r, n) for n in range(lo, hi + 1)]
+
+
+def test_deep_sweep_is_clean():
+    # past every recurrence's seed window and well past the default n_max
+    reports, summary = check_all(n_max=400)
+    assert summary.failed == 0
+    assert summary.checked == summary.passed == len(reports) > 0
+    assert {report.id for report in reports} == set(ALL_IDS)
+
+
+@pytest.mark.parametrize(
+    "cid, parity, per_n",
+    _PER_N_RIGHT_SIDES,
+    ids=[cid + {None: "", 0: "-even-r", 1: "-odd-r"}[parity]
+         for cid, parity, _ in _PER_N_RIGHT_SIDES],
+)
+def test_per_n_forms_hold_deep(cid, parity, per_n):
+    case = _by_id()[cid]
+    orders = [None]
+    if case.parameterized:
+        orders = [
+            r for r in range(3, 13)
+            if case.accepts_r(r) and (parity is None or r % 2 == parity)
+        ]
+    for r in orders:
+        swept = [rhs for _, rhs in case.sweep(r, 380, 400)]
+        assert swept == [per_n(r, n) for n in range(380, 401)], (cid, r)
