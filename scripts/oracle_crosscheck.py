@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Randomized cross-validation of the independent evaluation routes.
 
-Six blocks: determinant evaluators against each other on random specs,
+Seven blocks: determinant evaluators against each other on random specs,
 the size-4 polynomial expansion, tiling counts against sequence terms,
 the C-finite route against the expansion recurrence on random rules,
-series coefficients against determinant sequences, and Bostan-Mori
-halving against the linear C-finite expansion on random rules at sizes
-past the check's first block.  One PASS/FAIL line per block; exit 1 on
-any disagreement.
+series coefficients against determinant sequences, Bostan-Mori halving
+against the linear C-finite expansion on random rules at sizes past the
+check's first block, and each operation of the C-finite series value
+against the same operation on plain term lists.  One PASS/FAIL line per
+block; exit 1 on any disagreement.
 """
 
 import argparse
@@ -15,6 +16,7 @@ import random
 import sys
 
 from tridet import (
+    CFinite,
     EntryRule,
     HessenbergSpec,
     SequenceKind,
@@ -167,6 +169,48 @@ def halving_matches(rng: random.Random, trials: int) -> bool:
     return ok
 
 
+SERIES_TERMS = 40
+
+
+def random_series(rng: random.Random) -> CFinite:
+    num = [rng.randint(-5, 5) for _ in range(rng.randint(0, 6))]
+    return CFinite(num, [1] + [rng.randint(-3, 3) for _ in range(rng.randint(0, 4))])
+
+
+def recurrence_terms(den, head, count: int) -> list:
+    """head, then c_n = -sum_k den_k c_(n-k) until count terms."""
+    terms = list(head[:count])
+    while len(terms) < count:
+        n = len(terms)
+        terms.append(-sum(den[k] * terms[n - k] for k in range(1, min(len(den), n + 1))))
+    return terms
+
+
+def series_operations_match(rng: random.Random, trials: int) -> bool:
+    m = SERIES_TERMS
+    ok = True
+    for _ in range(trials):
+        f, g = random_series(rng), random_series(rng)
+        a, b = f.coefficients(0, 4 * m), g.coefficients(0, m)
+        k, c, s = rng.randint(1, 6), rng.choice((-3, -2, -1, 2, 3)), rng.randint(1, 4)
+        head = [rng.randint(-9, 9) for _ in range(rng.randint(0, 6))]
+        den = list(g.den)
+        checks = [
+            ("shift +%d" % k, f.shift(k), ([0] * k + a)[:m]),
+            ("shift -%d" % k, f.shift(-k), a[k : k + m]),
+            ("scale %d" % c, f.scale(c), [t * c**n for n, t in enumerate(a[:m])]),
+            ("sum", f + g, [x + y for x, y in zip(a[:m], b)]),
+            ("product", f * g, [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(m)]),
+            ("multisect %d" % s, f.multisect(s), a[::s][:m]),
+            ("from_head", CFinite.from_head(den, head), recurrence_terms(den, head, m)),
+        ]
+        for label, value, expected in checks:
+            if value.coefficients(0, m - 1) != expected:
+                print("  %s disagrees on %r, %r" % (label, f, g))
+                ok = False
+    return ok
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=20260822)
@@ -196,6 +240,11 @@ def main() -> int:
         "halving matches the linear C-finite expansion on %d random rules, n 257..1100"
         % args.trials,
         halving_matches(rng, args.trials),
+    )
+    ok &= report(
+        "C-finite series operations match term-list arithmetic on %d random pairs"
+        % args.trials,
+        series_operations_match(rng, args.trials),
     )
     return 0 if ok else 1
 

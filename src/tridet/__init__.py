@@ -2,8 +2,9 @@
 
 Everything is integer arithmetic end to end: determinants come from the
 entries' linear recurrence (C-finite route), the expansion recurrence, two
-Trudi-style summation formulas, and fraction-free elimination; identities
-are checked by exact equality only.
+Trudi-style summation formulas, and fraction-free elimination; each
+identity's right side is one declared C-finite series (CFinite), and
+identities are checked by exact equality only.
 """
 
 from .combinatorics import binomial, compositions, multinomial, partitions
@@ -37,7 +38,7 @@ from .sequences import (
     square_rmino_closed,
     tribonacci_explicit,
 )
-from .series import GF_FAMILIES, IntPolynomial, RationalGF, expand_rational, gf_catalog
+from .series import GF_FAMILIES, CFinite, expand_rational, gf_catalog
 from .tilings import (
     PieceSet,
     count_tilings,
@@ -78,8 +79,7 @@ __all__ = [
     "square_rmino_closed",
     "tribonacci_explicit",
     "GF_FAMILIES",
-    "IntPolynomial",
-    "RationalGF",
+    "CFinite",
     "expand_rational",
     "gf_catalog",
     "PieceSet",

@@ -170,8 +170,8 @@ def _cmd_gf(args: argparse.Namespace, emit: Callable[..., None]) -> int:
         return {
             "family": args.family,
             "r": r,
-            "num": list(gf.num.coeffs),
-            "den": list(gf.den.coeffs),
+            "num": list(gf.num),
+            "den": list(gf.den),
             "coefficients": coeffs,
         }
 

@@ -6,7 +6,9 @@ evaluation routes cross-certify each other:
 
 - det_recurrence / det_sequence: for a spec built by make_entries, the
   C-finite route.  The entries obey a linear recurrence with
-  characteristic polynomial Q, so their series is P/Q and the
+  characteristic polynomial Q, the family's series denominator
+  multisected at the rule's stride, so their series is the
+  series.CFinite P/Q with P read off the first L entries, and the
   determinants are the coefficients of Q(-a0 x) / (Q(-a0 x) - x P(-a0 x))
   (L = order of the recurrence).  Both check every entry against Q in
   O(n*L) chunked steps.  det_recurrence then reads the one coefficient
@@ -28,12 +30,13 @@ from operator import add, mul, sub
 from typing import Iterable, List, Optional, Tuple
 
 from .combinatorics import compositions, multinomial, partitions
-from .sequences import SequenceKind, extend_terms, seeds_and_lags
-from .series import rational_coefficients
+from .sequences import SequenceKind, extend_terms, family_series, seeds_and_lags
+from .series import CFinite, rational_coefficients
 
-TRUDI_PARTITION_CAP = 45
-COMPOSITION_CAP = 20
-DENSE_CAP = 64
+# oracle caps, with one evaluation at the cap (tribonacci entries, Python 3.11, 2-vCPU Xeon)
+TRUDI_PARTITION_CAP = 45  # p(45) = 89134 partitions, 20 % more per n: 0.9 s
+COMPOSITION_CAP = 20  # 2^19 compositions, twice as many per n: 1.2 s
+DENSE_CAP = 64  # O(n^3) Bareiss steps, 15 ms: a round bound on the matrix, not a time limit
 
 
 @dataclass(frozen=True)
@@ -138,32 +141,10 @@ def annihilator(rule: EntryRule) -> List[int]:
 
     sum_j q_j * a_(k+1-j) = 0 for every k >= L, where L is the family's
     largest lag (every family's seed block is exactly that long, so this
-    holds from the first entry).  For stride 1, Q = 1 - sum x^lag.  For
-    stride s, Q(x^s) is the product of Q_1(w x) over the s-th roots of
-    unity w, found from Newton power sums: the power sums of Q are those
-    of Q_1 at multiples of s.
+    holds from the first entry).  Q is the denominator of the family's
+    series multisected at the rule's stride: 1 - sum x^lag for stride 1.
     """
-    _, lags = seeds_and_lags(rule.kind)
-    order = max(lags)
-    base = [1] + [0] * order
-    for lag in lags:
-        base[lag] -= 1
-    s = rule.stride
-    if s == 1:
-        return base
-    # p_k = -k q_k - sum_{i<k} p_i q_(k-i) gives the power sums of base
-    sums = [0]
-    for k in range(1, s * order + 1):
-        acc = -k * base[k] if k <= order else 0
-        for i in range(max(1, k - order), k):
-            acc -= sums[i] * base[k - i]
-        sums.append(acc)
-    # and k q_k = -sum_{i=1..k} p_i q_(k-i) recovers Q from p_s, p_2s, ...
-    q = [1]
-    for k in range(1, order + 1):
-        acc = -sum(sums[s * i] * q[k - i] for i in range(1, k + 1))
-        q.append(acc // k)
-    return q
+    return list(family_series(rule.kind).multisect(rule.stride).den)
 
 
 def _check_entries(spec: HessenbergSpec, q: List[int]) -> None:
@@ -207,16 +188,14 @@ def _rational(spec: HessenbergSpec) -> Tuple[List[int], List[int]]:
     whose denominator has constant term 1.
     """
     q = annihilator(spec.rule)
-    order = len(q) - 1
-    a = spec.entries
     # P = (entries * Q) mod x^L; the coefficients from x^L on must vanish
-    p = [sum(map(mul, q[k::-1], a)) for k in range(min(spec.n, order))]
+    entries = CFinite.from_head(q, spec.entries[: len(q) - 1])
     _check_entries(spec, q)
-    scale = [(-spec.a0) ** j for j in range(order + 1)]
-    num = [qj * sj for qj, sj in zip(q, scale)]
+    scaled = entries.scale(-spec.a0)
+    num = list(scaled.den)
     den = num[:]
-    for j, pj in enumerate(p):
-        den[j + 1] -= pj * scale[j]
+    for j, pj in enumerate(scaled.num):
+        den[j + 1] -= pj
     return num, den
 
 

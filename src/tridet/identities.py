@@ -1,40 +1,42 @@
 """Registry of determinant identities with exact pass/fail evaluation.
 
 Each case pairs a determinant left side (an entry rule over a sequence
-family, evaluated by the C-finite determinant route) with an independently
-coded right side: a closed form, an auxiliary recurrence, a series
-coefficient, or one of the paper's binomial sums.  Every case is evaluated
-one way, by its sweep: the (lhs, rhs) pairs for n = lo..hi at one r, from
-one determinant sequence and one pass over the right side, O(n) terms per
-(case, r).  A binomial sum is a seeded recurrence (_seeded): the paper's sum
-gives the first few values and the short recurrence it obeys by Pascal's
-rule, named next to each case, gives the rest.  evaluate, rule and rhs are
-single-point views of the same case.  A report passes when the two integers
-are equal; failures are data, never exceptions.  Checks outside a case's
-stated (r, n) domain are refused rather than silently passed.
+family, evaluated by the C-finite determinant route) with a right side
+declared as one series (series.CFinite) from the paper's formula, never
+from a left side's series: a family's series shifted, a tiling sum's
+1 / (1 - s x - w x^k), a catalog entry, or a closed, floor or periodic
+form given by its denominator and its first printed values (_printed).
+The comment next to each case is the derivation from the printed formula
+to the declared series.  Every case is evaluated one way, by its sweep:
+the (lhs, rhs) pairs for n = lo..hi at one r, from one determinant
+sequence and one expansion of the series, O(n) terms per (case, r).
+evaluate, rule and rhs are single-point views of the same case.  A report
+passes when the two integers are equal; failures are data, never
+exceptions.  Checks outside a case's stated (r, n) domain are refused
+rather than silently passed.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .combinatorics import binomial
 from .determinant import EntryRule, det_sequence, make_entries
-from .sequences import SequenceKind, seeds_and_lags, seq_term
-from .series import expand_rational, gf_catalog, rational_coefficients
+from .sequences import SequenceKind, family_series, seq_range, seq_term
+from .series import CFinite, gf_catalog
 
 DEFAULT_R_SET = (2, 3, 4, 5, 6, 7, 8)
 DEFAULT_N_MAX = 24
 
-_FIB = SequenceKind("fibonacci")
 _TRIB = SequenceKind("tribonacci")
 _PAD = SequenceKind("padovan")
 
 RhsFn = Callable[[Optional[int], int], int]
-TermsFn = Callable[[Optional[int], int, int], List[int]]
 PairFn = Callable[[Optional[int], int], Tuple[int, int]]
 SweepFn = Callable[[Optional[int], int, int], List[Tuple[int, int]]]
+SeriesFn = Callable[[Optional[int]], CFinite]
 
 
 @dataclass(frozen=True)
@@ -78,61 +80,51 @@ class VerificationSummary(NamedTuple):
     failed: int
 
 
-@dataclass(frozen=True)
-class _Terms:
-    """A right side written once for n = lo..hi; called as (r, n) it gives one n."""
-
-    terms: TermsFn
-
-    def __call__(self, r: Optional[int], n: int) -> int:
-        return self.terms(r, n, n)[0]
-
-
 def _neg1(k: int) -> int:
     return -1 if k % 2 else 1
 
 
-def _alternate(values: List[int], lo: int) -> List[int]:
-    """(-1)^(n-1) times each value, the values running over n = lo, lo + 1, ..."""
-    return [_neg1(n - 1) * v for n, v in enumerate(values, lo)]
+def _twist(gf: CFinite) -> CFinite:
+    """(-1)^(n-1) times each coefficient n."""
+    return -gf.scale(-1)
 
 
-def _coeffs(family: str, r: int, lo: int, hi: int) -> List[int]:
-    """Catalog series coefficients of x^lo..x^hi, from one expansion."""
-    return expand_rational(gf_catalog(family, r), hi)[lo - 1 :]
+def _x(k: int) -> CFinite:
+    """The monomial x^k."""
+    return CFinite((1,)).shift(k)
 
 
-def _seeded(
-    paper_sum: Callable[[int], int], steps: Sequence[Tuple[int, int]], top: int
-) -> List[int]:
-    """v(0..top) of a sum that obeys v(m) = sum of c * v(m - lag) over steps (lag, c).
-
-    The first max(lag) values come from the sum itself, the rest from the
-    recurrence, so each value costs len(steps) products, not a fresh sum.
-    """
-    order = max(lag for lag, _ in steps)
-    v = [paper_sum(m) for m in range(min(order, top + 1))]
-    for m in range(order, top + 1):
-        v.append(sum(c * v[m - lag] for lag, c in steps))
-    return v
+def _fam(family: str, r: Optional[int] = None) -> CFinite:
+    return family_series(SequenceKind(family, r))
 
 
-def _tiling_sums(k: int, weight: int, square: int, top: int) -> List[int]:
-    """v(0..top) of v(m) = sum_i C(m-(k-1)i, i) * weight^i * square^(m-ki).
+def _tiling(k: int, weight: int, square: int = 1) -> CFinite:
+    """v(m) = sum_i C(m-(k-1)i, i) * weight^i * square^(m-ki), as one series.
 
     The i-th term counts the tilings of m by squares and i k-minos, with
-    the factor square per square and weight per k-mino, so by Pascal's rule
-    v(m) = square * v(m-1) + weight * v(m-k).  Most of the paper's binomial
-    sums are this one at some k, weights and argument m.
+    the factor square per square and weight per k-mino.  Summed over i,
+    weight^i x^(ki) / (1 - square x)^(i+1) is 1 / (1 - square x - weight x^k).
+    Most of the paper's binomial sums are this one at some k, weights and
+    argument m.
     """
+    den = [1] + [0] * k
+    den[1] -= square
+    den[k] -= weight
+    return CFinite((1,), den)
 
-    def paper_sum(m: int) -> int:
-        return sum(
-            binomial(m - (k - 1) * i, i) * weight**i * square ** (m - k * i)
-            for i in range(m // k + 1)
-        )
 
-    return _seeded(paper_sum, ((1, square), (k, weight)), top)
+def _printed(den: Sequence[int], formula: Callable[[int], int], terms: int) -> CFinite:
+    """The series over den that starts with the printed formula at n = 0..terms-1.
+
+    It is the formula at every n exactly when den's recurrence holds for the
+    formula from n = terms on; each use names why it does.
+    """
+    return CFinite.from_head(den, [formula(n) for n in range(terms)])
+
+
+def _pairs(rule: EntryRule, gf: CFinite, lo: int, hi: int) -> List[Tuple[int, int]]:
+    """(lhs, rhs) for n = lo..hi from one determinant sequence and one expansion of gf."""
+    return list(zip(det_sequence(make_entries(rule, hi))[lo:], gf.coefficients(lo, hi)))
 
 
 def _case(
@@ -140,24 +132,21 @@ def _case(
     description: str,
     *,
     rule: Optional[Callable[[Optional[int]], EntryRule]] = None,
-    rhs: Optional[RhsFn] = None,
+    gf: Optional[SeriesFn] = None,
     sweep: Optional[SweepFn] = None,
     r_ok: Optional[Callable[[int], bool]] = None,
     n_min=1,
     n_cap=None,
 ) -> IdentityCase:
+    rhs: Optional[RhsFn] = None
     if sweep is None:
-        assert rule is not None and rhs is not None
-        if isinstance(rhs, _Terms):
-            terms = rhs.terms
-        else:
-            def terms(r: Optional[int], lo: int, hi: int) -> List[int]:
-                return [rhs(r, n) for n in range(lo, hi + 1)]
+        assert rule is not None and gf is not None
 
         def sweep(r: Optional[int], lo: int, hi: int) -> List[Tuple[int, int]]:
-            # one determinant sequence serves every n for this (case, r)
-            dets = det_sequence(make_entries(rule(r), hi))
-            return list(zip(dets[lo:], terms(r, lo, hi)))
+            return _pairs(rule(r), gf(r), lo, hi)
+
+        def rhs(r: Optional[int], n: int) -> int:
+            return gf(r).coefficients(n, n)[0]
 
     n_min_fn = n_min if callable(n_min) else (lambda r, _v=n_min: _v)
     n_cap_fn = n_cap if callable(n_cap) else (lambda r, _v=n_cap: _v)
@@ -197,13 +186,6 @@ def _any_r(r: int) -> bool:
 
 # right sides, one helper per case where a lambda would be unreadable
 
-def _rhs_i04(r: Optional[int], lo: int, hi: int) -> List[int]:
-    c = [1, 2]  # c(2), c(3)
-    while len(c) < hi - 1:
-        c.append(3 * c[-1] + 2 * c[-2])
-    return c[lo - 2 : hi - 1]
-
-
 def _sum_i09(n: int) -> int:
     total = 0
     for i in range(n):
@@ -216,164 +198,80 @@ def _sum_i09(n: int) -> int:
     return total
 
 
-def _rhs_i09(r: Optional[int], lo: int, hi: int) -> List[int]:
-    # even and odd i split the sum into A(n-1) + A(n-2), where
-    # A(m) = sum_j 2^(m-3j) C(m-2j, j) obeys A(m) = 2A(m-1) + A(m-3); so does the sum
-    return _alternate(_seeded(_sum_i09, ((1, 2), (3, 1)), hi)[lo:], lo)
-
-
-def _rhs_i10(r: Optional[int], n: int) -> int:
-    m = n % 3
-    if m == 0:
-        return _neg1(n)
-    if m == 1:
-        return _neg1(n + 1)
-    return 0
-
-
-def _rhs_i12(r: Optional[int], lo: int, hi: int) -> List[int]:
-    def paper_sum(n: int) -> int:
-        return sum(binomial(n + 2 + i, n + 1 - 2 * i) for i in range((n + 1) // 2 + 1))
-
-    # g(m) = sum_i C(m+i, m-1-2i) at m = n + 2: g(m) = 3g(m-1) - 2g(m-2) + g(m-3)
-    return _seeded(paper_sum, ((1, 3), (2, -2), (3, 1)), hi)[lo:]
-
-
-def _rhs_i19(r: Optional[int], lo: int, hi: int) -> List[int]:
-    assert r is not None
-    if r % 2 == 1:
-        return [4 * _neg1(n - 1) for n in range(lo, hi + 1)]
-    # the sum of C(n-1-(r/2-1)i, i) is u(n-1), u(m) = u(m-1) + u(m-r/2)
-    u = _tiling_sums(r // 2, 1, 1, hi - 1)
-    out = []
-    for n in range(lo, hi + 1):
-        # boundary tilings not covered by the sum: all-dominoes (n = 1) and
-        # the single long piece (2n = r)
-        total = u[n - 1] + (n == 1) + (2 * n == r)
-        out.append(_neg1(n - 1) * total)
-    return out
-
-
-def _rhs_i20(r: int, lo: int, hi: int) -> List[int]:
+def _gf_i20_i21(r: int) -> CFinite:
+    # v(m) = 0 below h = ceil(r/2), F(2m-r+1) from h to r (plus 1 at m = r
+    # for odd r), then v(m) = 3v(m-1) - v(m-2) + v(m-h), with - v(m-h-1)
+    # added for even r
     h = (r + 1) // 2
-    vals = [0] * (hi + 1)
-    for m in range(1, hi + 1):
-        if m < h:
-            v = 0
-        elif m < r:
-            v = seq_term(_FIB, 2 * m - r + 1)
-        elif m == r:
-            v = 1 + seq_term(_FIB, r + 1)
-        else:
-            v = 3 * vals[m - 1] - vals[m - 2] + vals[m - h]
-        vals[m] = v
-    return _alternate(vals[lo:], lo)
-
-
-def _rhs_i21(r: int, lo: int, hi: int) -> List[int]:
-    h = r // 2
-    vals = [0] * (hi + 1)
-    for m in range(1, hi + 1):
-        if m < h:
-            v = 0
-        elif m <= r:
-            v = seq_term(_FIB, 2 * m - r + 1)
-        else:
-            v = 3 * vals[m - 1] - vals[m - 2] + vals[m - h] - vals[m - h - 1]
-        vals[m] = v
-    return _alternate(vals[lo:], lo)
-
-
-def _square(poly: List[int]) -> List[int]:
-    out = [0] * (2 * len(poly) - 1)
-    for i, a in enumerate(poly):
-        for j, b in enumerate(poly):
-            out[i + j] += a * b
-    return out
-
-
-def _rhs_i23(r: Optional[int], lo: int, hi: int) -> List[int]:
-    assert r is not None
+    fib = _fam("fibonacci").coefficients(0, r + 1)
+    head = [0] * h + [fib[2 * m - r + 1] for m in range(h, r + 1)]
+    den = [1, -3, 1] + [0] * (h - 1)
+    den[h] -= 1
     if r % 2 == 1:
-        return _alternate(_coeffs("i23", r, lo, hi), lo)
+        head[r] += 1
+    else:
+        den[h + 1] += 1
+    return _twist(CFinite.from_head(den, head))
+
+
+def _gf_i23(r: int) -> CFinite:
+    if r % 2 == 1:
+        return _twist(gf_catalog("i23", r))
     # the convolution sum_i h(i) h(n-1-i) of the half-order square-and-r-mino
-    # count h is [x^(n-1)] of (P/Q)^2, where P/Q is h's series from its seeds and lags
-    seeds, lags = seeds_and_lags(SequenceKind("square-rmino", r // 2))
-    q = [1] + [0] * max(lags)
-    for lag in lags:
-        q[lag] -= 1
-    p = [sum(q[j] * seeds[i - j] for j in range(i + 1)) for i in range(len(seeds))]
-    conv = rational_coefficients(_square(p), _square(q), hi - 1)[lo - 1 :]
-    return _alternate(conv, lo)
+    # count h is [x^(n-1)] of the square of h's series
+    half = _fam("square-rmino", r // 2)
+    return _twist((half * half).shift(1))
 
 
-def _rhs_i25(r: Optional[int], n: int) -> int:
-    assert r is not None
+def _gf_i25(r: int) -> CFinite:
+    # the pattern is 1, 2, 1 at n = 0, 1, 2 and 0 on to n = m - 1, m = (r-1)/2;
+    # each residue class mod m changes sign by (-1)^(m-1) per period
     m = (r - 1) // 2
-    if n % m == 0:
-        q = 2 * n // (r - 1)
-        return _neg1(n - q)
-    if (n - 1) % m == 0:
-        q = 2 * (n - 1) // (r - 1)
-        return 2 * _neg1(n - 1 - q)
-    if (n - 2) % m == 0:
-        q = 2 * (n - 2) // (r - 1)
-        return _neg1(n - q)
-    return 0
+    return CFinite.from_head([1] + [0] * (m - 1) + [_neg1(m)], [1, 2, 1] + [0] * (m - 3))
 
 
-def _rhs_i31(r: Optional[int], lo: int, hi: int) -> List[int]:
-    # a(m) = sum_i C(m-2i, i) 2^i 3^(m-3i) obeys a(m) = 3a(m-1) + 2a(m-3)
-    a = _tiling_sums(3, 2, 3, hi - 2)
-    return _alternate([a[n - 2] - a[n - 3] for n in range(lo, hi + 1)], lo)
+def _i34_clauses(r: int) -> List[Tuple[EntryRule, CFinite, int]]:
+    """(entry rule, right side, first n) of each clause of I-34 at r."""
+    ksf = SequenceKind("k-step-fibonacci", r)
+    # the (r-1)-step count; at r = 2 the one-step count, one all-squares
+    # tiling of every length
+    shorter = _fam("k-step-fibonacci", r - 1) if r > 2 else CFinite((1,), (1, -1))
+    return [
+        # signed (r-1)-step value at n - 2
+        (EntryRule(ksf, 0, 1, 1), _twist(shorter.shift(2)), r - 1),
+        # signed spaced-piece count at n + r - 1
+        (EntryRule(ksf, r - 1, 1, 1), _twist(_fam("q-sequence", r).shift(1 - r)), 1),
+    ]
 
 
 def _sweep_i34(r: Optional[int], lo: int, hi: int) -> List[Tuple[int, int]]:
-    """Both clauses for n = lo..hi, one determinant sequence per clause.
+    """Both clauses for n = lo..hi, one _pairs per clause.
 
     Each n reports its first failing clause, else its first clause.
     """
     assert r is not None
-    ksf = SequenceKind("k-step-fibonacci", r)
-    dets_a = det_sequence(make_entries(EntryRule(ksf, 0, 1, 1), hi))
-    dets_b = det_sequence(make_entries(EntryRule(ksf, r - 1, 1, 1), hi))
-    # the (r-1)-step family exists from r = 3; r = 2 has its one-step count below
-    shorter = SequenceKind("k-step-fibonacci", r - 1) if r > 2 else None
-    spaced = SequenceKind("q-sequence", r)
+    clauses = [(first, _pairs(rule, gf, lo, hi)) for rule, gf, first in _i34_clauses(r)]
     out = []
-    for n in range(lo, hi + 1):
-        pairs = []
-        if n >= r - 1:
-            if shorter is None:
-                # one-step count: a single all-squares tiling for n >= 2,
-                # no tiling of negative length at n = 1
-                rhs = 0 if n == 1 else _neg1(n - 1)
-            else:
-                rhs = _neg1(n - 1) * seq_term(shorter, n - 2)
-            pairs.append((dets_a[n], rhs))
-        rhs_b = _neg1(n - 1) * seq_term(spaced, n + r - 1)
-        pairs.append((dets_b[n], rhs_b))
+    for i, n in enumerate(range(lo, hi + 1)):
+        pairs = [swept[i] for first, swept in clauses if n >= first]
         out.append(next((p for p in pairs if p[0] != p[1]), pairs[0]))
     return out
 
 
 def _sweep_i36(r: Optional[int], lo: int, hi: int) -> List[Tuple[int, int]]:
     """The three fixed identities are the points n = 1, 2, 3."""
-
-    def t(k: int) -> int:
-        return seq_term(_TRIB, k)
-
+    t = seq_range(_TRIB, 0, 10)
     pairs = [
-        (t(2) ** 3 + 2 * t(2) * t(6) + t(4) ** 2 + t(10), 100),
-        (t(3) ** 4 - 3 * t(3) ** 2 * t(4) + 2 * t(3) * t(5) + t(4) ** 2 - t(6), 0),
+        (t[2] ** 3 + 2 * t[2] * t[6] + t[4] ** 2 + t[10], 100),
+        (t[3] ** 4 - 3 * t[3] ** 2 * t[4] + 2 * t[3] * t[5] + t[4] ** 2 - t[6], 0),
         (
-            t(2) ** 5
-            - 4 * t(2) ** 3 * t(3)
-            + 3 * t(2) ** 2 * t(4)
-            + 3 * t(2) * t(3) ** 2
-            - 2 * t(2) * t(5)
-            - 2 * t(3) * t(4)
-            + t(6),
+            t[2] ** 5
+            - 4 * t[2] ** 3 * t[3]
+            + 3 * t[2] ** 2 * t[4]
+            + 3 * t[2] * t[3] ** 2
+            - 2 * t[2] * t[5]
+            - 2 * t[3] * t[4]
+            + t[6],
             seq_term(_PAD, 7),
         ),
     ]
@@ -382,101 +280,115 @@ def _sweep_i36(r: Optional[int], lo: int, hi: int) -> List[Tuple[int, int]]:
 
 def registry() -> List[IdentityCase]:
     """All identity cases, in id order; 37 in total."""
-    # I-27 restates I-13 and I-35 restates I-04: one rule and right side each
-    const_4 = dict(rule=_trib_rule(5, 2, 1), rhs=lambda r, n: 4, n_min=3)
-    even_neg = dict(rule=_trib_rule(0, 2, -1), rhs=_Terms(_rhs_i04), n_min=2)
+    i04 = _case(
+        "I-04",
+        "even-indexed tribonacci entries with a0 = -1: closed form via c(n) = 3c(n-1) + 2c(n-2)",
+        rule=_trib_rule(0, 2, -1),
+        # c(2) = 1, c(3) = 2, then c(n) = 3c(n-1) + 2c(n-2)
+        gf=lambda r: CFinite.from_head((1, -3, -2), (1, 2)).shift(2),
+        n_min=2,
+    )
+    i13 = _case(
+        "I-13",
+        "odd-indexed tribonacci entries from index 5: constant 4",
+        rule=_trib_rule(5, 2, 1),
+        gf=lambda r: CFinite((4,), (1, -1)),
+        n_min=3,
+    )
     cases = [
         _case(
             "I-01",
             "tribonacci entries from index 0: signed Fibonacci value",
             rule=_trib_rule(0, 1, 1),
-            rhs=lambda r, n: _neg1(n - 1) * seq_term(_FIB, n - 2),
+            gf=lambda r: _twist(_fam("fibonacci").shift(2)),
             n_min=2,
         ),
         _case(
             "I-02",
             "tribonacci entries from index 2: signed Padovan value",
             rule=_trib_rule(2, 1, 1),
-            rhs=lambda r, n: _neg1(n - 1) * seq_term(_PAD, n + 2),
+            gf=lambda r: _twist(_fam("padovan").shift(-2)),
         ),
         _case(
             "I-03",
             "tribonacci entries with a0 = -1: floor((2^n + 6) / 14)",
             rule=_trib_rule(0, 1, -1),
-            rhs=lambda r, n: (2**n + 6) // 14,
+            # 2^n mod 14 has period 3 from n = 1, so (1 - 2x)(1 - x^3)
+            # annihilates the floor from n = 5
+            gf=lambda r: _printed((1, -2, 0, -1, 2), lambda n: (2**n + 6) // 14, 5),
         ),
-        _case(
-            "I-04",
-            "even-indexed tribonacci entries with a0 = -1: closed form via c(n) = 3c(n-1) + 2c(n-2)",
-            **even_neg,
-        ),
+        i04,
         _case(
             "I-05",
             "tribonacci entries from index 1: signed sum of C(n-2-2i, i)",
             rule=_trib_rule(1, 1, 1),
-            # f(n-2), f(m) = f(m-1) + f(m-3); the empty sum f(-1) = 0 serves n = 1
-            rhs=_Terms(
-                lambda r, lo, hi: _alternate(([0] + _tiling_sums(3, 1, 1, hi - 2))[lo - 1 :], lo)
-            ),
+            # f(n-2), f(m) = sum_i C(m-2i, i); the empty sum f(-1) = 0 serves n = 1
+            gf=lambda r: _twist(_tiling(3, 1).shift(2)),
         ),
         _case(
             "I-06",
             "tribonacci entries from index 1 with a0 = -1: sum of C(2n-4-2i, i)",
             rule=_trib_rule(1, 1, -1),
-            # f(2n-4), f(m) = f(m-1) + f(m-3)
-            rhs=_Terms(lambda r, lo, hi: _tiling_sums(3, 1, 1, 2 * hi - 4)[2 * lo - 4 :: 2]),
+            # f(2n-4), f(m) = sum_i C(m-2i, i): the even half of x^4 f
+            gf=lambda r: _tiling(3, 1).shift(4).multisect(2),
             n_min=2,
         ),
         _case(
             "I-07",
             "odd-indexed tribonacci entries from index 1: signed floor(4 * 3^(n-3))",
             rule=_trib_rule(1, 2, 1),
-            rhs=lambda r, n: _neg1(n - 1)
-            * (4 * 3 ** (n - 3) if n >= 3 else 4 // 3 ** (3 - n)),
+            # geometric with ratio 3 from n = 3
+            gf=lambda r: _twist(
+                _printed((1, -3), lambda n: 4 * 3 ** (n - 3) if n >= 3 else 4 // 3 ** (3 - n), 4)
+            ),
         ),
         _case(
             "I-08",
             "tribonacci entries from index 3: identically zero from n = 4",
             rule=_trib_rule(3, 1, 1),
-            rhs=lambda r, n: 0,
+            gf=lambda r: CFinite(()),
             n_min=4,
         ),
         _case(
             "I-09",
             "odd-indexed tribonacci entries from index 3: signed power-of-two binomial sum",
             rule=_trib_rule(3, 2, 1),
-            rhs=_Terms(_rhs_i09),
+            # even and odd i split the sum into A(n-1) + A(n-2), where
+            # A(m) = sum_j 2^(m-3j) C(m-2j, j) obeys A(m) = 2A(m-1) + A(m-3); so does the sum
+            gf=lambda r: _twist(_printed((1, -2, 0, -1), _sum_i09, 3)),
         ),
         _case(
             "I-10",
             "tribonacci entries from index 4: period-3 pattern of 0 and +-1",
             rule=_trib_rule(4, 1, 1),
-            rhs=_rhs_i10,
+            # (-1)^n, (-1)^(n+1), 0 by n mod 3, so v(n) = -v(n-3)
+            gf=lambda r: _printed((1, 0, 0, 1), lambda n: (_neg1(n), _neg1(n + 1), 0)[n % 3], 3),
             n_min=2,
         ),
         _case(
             "I-11",
             "even-indexed tribonacci entries from index 4: 4 up to alternating sign",
             rule=_trib_rule(4, 2, 1),
-            rhs=lambda r, n: 4 * _neg1(n - 1),
+            gf=lambda r: _twist(CFinite((4,), (1, -1))),
             n_min=3,
         ),
         _case(
             "I-12",
             "tribonacci entries from index 5: sum of C(n+2+i, n+1-2i)",
             rule=_trib_rule(5, 1, 1),
-            rhs=_Terms(_rhs_i12),
+            # g(m) = sum_i C(m+i, m-1-2i) at m = n + 2: g(m) = 3g(m-1) - 2g(m-2) + g(m-3)
+            gf=lambda r: _printed(
+                (1, -3, 2, -1),
+                lambda n: sum(binomial(n + 2 + i, n + 1 - 2 * i) for i in range((n + 1) // 2 + 1)),
+                3,
+            ),
         ),
-        _case(
-            "I-13",
-            "odd-indexed tribonacci entries from index 5: constant 4",
-            **const_4,
-        ),
+        i13,
         _case(
             "I-14",
             "order-r tribonacci entries from index 0: signed Fibonacci value",
             rule=_gt_rule(lambda r: 0, 1, 1),
-            rhs=lambda r, n: _neg1(n - 1) * seq_term(_FIB, n - r + 1),
+            gf=lambda r: _twist(_fam("fibonacci").shift(r - 1)),
             r_ok=_any_r,
             n_min=lambda r: r - 1,
         ),
@@ -484,8 +396,7 @@ def registry() -> List[IdentityCase]:
             "I-15",
             "order-r tribonacci entries from index r-2: signed square-and-r-mino count",
             rule=_gt_rule(lambda r: r - 2, 1, 1),
-            rhs=lambda r, n: _neg1(n - 1)
-            * seq_term(SequenceKind("square-rmino", r), n - 2),
+            gf=lambda r: _twist(_fam("square-rmino", r).shift(2)),
             r_ok=_any_r,
             n_min=2,
         ),
@@ -493,15 +404,14 @@ def registry() -> List[IdentityCase]:
             "I-16",
             "order-r tribonacci entries from index r-1: signed order-r Padovan value",
             rule=_gt_rule(lambda r: r - 1, 1, 1),
-            rhs=lambda r, n: _neg1(n - 1)
-            * seq_term(SequenceKind("gen-padovan", r), n + r - 1),
+            gf=lambda r: _twist(_fam("gen-padovan", r).shift(1 - r)),
             r_ok=_any_r,
         ),
         _case(
             "I-17",
             "order-r tribonacci entries from index r: signed indicator of n = r",
             rule=_gt_rule(lambda r: r, 1, 1),
-            rhs=lambda r, n: _neg1(n - 1) * (1 if n == r else 0),
+            gf=lambda r: _twist(_x(r)),
             r_ok=_any_r,
             n_min=3,
         ),
@@ -509,8 +419,8 @@ def registry() -> List[IdentityCase]:
             "I-18",
             "order-r tribonacci entries from index r+1: alternating sum of C(n-(r-2)i, i)",
             rule=_gt_rule(lambda r: r + 1, 1, 1),
-            # h(n) = h(n-1) + (-1)^r h(n-r+1)
-            rhs=_Terms(lambda r, lo, hi: _tiling_sums(r - 1, _neg1(r), 1, hi)[lo:]),
+            # the sign (-1)^(ri) is the weight (-1)^r per (r-1)-mino
+            gf=lambda r: _tiling(r - 1, _neg1(r)),
             r_ok=_any_r,
             n_min=2,
         ),
@@ -518,7 +428,14 @@ def registry() -> List[IdentityCase]:
             "I-19",
             "odd-indexed order-r entries from index r+1: 4 up to sign (odd r), binomial sum with boundary terms (even r)",
             rule=_gt_rule(lambda r: r + 1, 2, 1),
-            rhs=_Terms(_rhs_i19),
+            # even r: u(n-1), u(m) = sum_i C(m-(r/2-1)i, i), plus the boundary
+            # tilings the sum misses: all-dominoes (n = 1) and the single long
+            # piece (2n = r)
+            gf=lambda r: _twist(
+                CFinite((4,), (1, -1))
+                if r % 2 == 1
+                else _tiling(r // 2, 1).shift(1) + _x(1) + _x(r // 2)
+            ),
             r_ok=_any_r,
             n_min=lambda r: r if r % 2 == 1 else 1,
         ),
@@ -526,7 +443,10 @@ def registry() -> List[IdentityCase]:
             "I-19b",
             "odd-indexed order-r entries from index r+1, n below r: 1 or 3 up to sign",
             rule=_gt_rule(lambda r: r + 1, 2, 1),
-            rhs=lambda r, n: (3 if n >= (r + 1) // 2 else 1) * _neg1(n - 1),
+            # constant from n = (r+1)/2
+            gf=lambda r: _twist(
+                _printed((1, -1), lambda n: 3 if n >= (r + 1) // 2 else 1, (r + 3) // 2)
+            ),
             r_ok=_odd,
             n_min=2,
             n_cap=lambda r: r - 1,
@@ -535,41 +455,41 @@ def registry() -> List[IdentityCase]:
             "I-20",
             "odd-indexed order-r entries from index 1, odd r: signed auxiliary three-term sequence",
             rule=_gt_rule(lambda r: 1, 2, 1),
-            rhs=_Terms(_rhs_i20),
+            gf=_gf_i20_i21,
             r_ok=_odd,
         ),
         _case(
             "I-21",
             "odd-indexed order-r entries from index 1, even r: signed auxiliary four-term sequence",
             rule=_gt_rule(lambda r: 1, 2, 1),
-            rhs=_Terms(_rhs_i21),
+            gf=_gf_i20_i21,
             r_ok=_even,
         ),
         _case(
             "I-22",
             "odd-indexed order-r entries from index 1: signed series coefficient",
             rule=_gt_rule(lambda r: 1, 2, 1),
-            rhs=_Terms(lambda r, lo, hi: _alternate(_coeffs("i22", r, lo, hi), lo)),
+            gf=lambda r: _twist(gf_catalog("i22", r)),
             r_ok=_any_r,
         ),
         _case(
             "I-23",
             "odd-indexed order-r entries from index r: signed series coefficient (odd r) or half-order convolution (even r)",
             rule=_gt_rule(lambda r: r, 2, 1),
-            rhs=_Terms(_rhs_i23),
+            gf=_gf_i23,
             r_ok=_any_r,
         ),
         _case(
             "I-24",
             "odd-indexed tribonacci entries from index 3: series coefficient of (x - x^2) / (1 + 2x + x^3)",
             rule=_trib_rule(3, 2, 1),
-            rhs=_Terms(lambda r, lo, hi: _coeffs("i24", 3, lo, hi)),
+            gf=lambda r: gf_catalog("i24", 3),
         ),
         _case(
             "I-25",
             "odd-indexed order-r entries from index r+2, odd r >= 7: residue-class sign pattern",
             rule=_gt_rule(lambda r: r + 2, 2, 1),
-            rhs=_rhs_i25,
+            gf=_gf_i25,
             r_ok=lambda r: r >= 7 and r % 2 == 1,
             n_min=lambda r: (r + 3) // 2,
         ),
@@ -577,41 +497,46 @@ def registry() -> List[IdentityCase]:
             "I-26",
             "odd-indexed order-5 entries from index 7: zero at even n, +-2 at odd n",
             rule=_gt_rule(lambda r: r + 2, 2, 1),
-            rhs=lambda r, n: 0 if n % 2 == 0 else 2 * _neg1((n - 1) // 2),
+            # v(n) = -v(n-2)
+            gf=lambda r: _printed(
+                (1, 0, 1), lambda n: 0 if n % 2 == 0 else 2 * _neg1((n - 1) // 2), 2
+            ),
             r_ok=lambda r: r == 5,
             n_min=4,
         ),
-        _case(
-            "I-27",
-            "odd-indexed tribonacci entries from index 5: constant 4, order-3 route",
-            **const_4,
+        # I-27 restates I-13: the same rule and right side
+        dataclasses.replace(
+            i13,
+            id="I-27",
+            description="odd-indexed tribonacci entries from index 5: constant 4, order-3 route",
         ),
         _case(
             "I-28",
             "even-indexed order-r entries from index 0: series coefficient",
             rule=_gt_rule(lambda r: 0, 2, 1),
-            rhs=_Terms(lambda r, lo, hi: _coeffs("i28", r, lo, hi)),
+            gf=lambda r: gf_catalog("i28", r),
             r_ok=_any_r,
         ),
         _case(
             "I-29",
             "even-indexed order-r entries from index 0 with a0 = -1: series coefficient",
             rule=_gt_rule(lambda r: 0, 2, -1),
-            rhs=_Terms(lambda r, lo, hi: _coeffs("i29", r, lo, hi)),
+            gf=lambda r: gf_catalog("i29", r),
             r_ok=_any_r,
         ),
         _case(
             "I-30",
             "order-r entries from index r+2: series coefficient",
             rule=_gt_rule(lambda r: r + 2, 1, 1),
-            rhs=_Terms(lambda r, lo, hi: _coeffs("i30", r, lo, hi)),
+            gf=lambda r: gf_catalog("i30", r),
             r_ok=_any_r,
         ),
         _case(
             "I-31",
             "even-indexed tribonacci entries from index 0: signed difference of weighted binomial sums",
             rule=_trib_rule(0, 2, 1),
-            rhs=_Terms(_rhs_i31),
+            # a(n-2) - a(n-3), a(m) = sum_i C(m-2i, i) 2^i 3^(m-3i)
+            gf=lambda r: _twist(_tiling(3, 2, 3) * CFinite((0, 0, 1, -1))),
             n_min=3,
         ),
         _case(
@@ -620,10 +545,8 @@ def registry() -> List[IdentityCase]:
             rule=lambda r: EntryRule(
                 SequenceKind("skip-tribonacci", r), (r - 1) // 2, 1, -1
             ),
-            # v(2n-r-1), v(M) = v(M-1) + v(M-r)
-            rhs=_Terms(
-                lambda r, lo, hi: _tiling_sums(r, 1, 1, 2 * hi - r - 1)[2 * lo - r - 1 :: 2]
-            ),
+            # v(2n-r-1), v(M) = sum_i C(M-(r-1)i, i): the even half of x^(r+1) v
+            gf=lambda r: _tiling(r, 1).shift(r + 1).multisect(2),
             r_ok=_odd,
             n_min=lambda r: (r + 1) // 2,
         ),
@@ -631,7 +554,13 @@ def registry() -> List[IdentityCase]:
             "I-33",
             "r-step Fibonacci entries with a0 = -1: floor((2^n + 2^r - 2) / (2^(r+1) - 2))",
             rule=lambda r: EntryRule(SequenceKind("k-step-fibonacci", r), 0, 1, -1),
-            rhs=lambda r, n: (2**n + 2**r - 2) // (2 ** (r + 1) - 2),
+            # 2^n mod (2^(r+1) - 2) has period r from n = 1, so
+            # (1 - 2x)(1 - x^r) annihilates the floor from n = r + 2
+            gf=lambda r: _printed(
+                [1, -2] + [0] * (r - 2) + [-1, 2],
+                lambda n: (2**n + 2**r - 2) // (2 ** (r + 1) - 2),
+                r + 2,
+            ),
             r_ok=lambda r: r >= 2,
         ),
         _case(
@@ -640,10 +569,11 @@ def registry() -> List[IdentityCase]:
             sweep=_sweep_i34,
             r_ok=lambda r: r >= 2,
         ),
-        _case(
-            "I-35",
-            "even-indexed tribonacci entries with a0 = -1: recurrence c(n) = 3c(n-1) + 2c(n-2)",
-            **even_neg,
+        # I-35 restates I-04: the same rule and right side
+        dataclasses.replace(
+            i04,
+            id="I-35",
+            description="even-indexed tribonacci entries with a0 = -1: recurrence c(n) = 3c(n-1) + 2c(n-2)",
         ),
         _case(
             "I-36",

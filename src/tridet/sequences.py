@@ -3,11 +3,12 @@
 FAMILY_TABLE is the one place each family is described: the orders r it
 accepts, its seed block and its recurrence lags.  Term n past the seeds is
 the sum of the terms n - lag; read as piece lengths, the same lags give the
-family's strip tilings (tilings.pieces_for).  Every family is evaluated by
-forward iteration with a per-(family, r) memo, so repeated term lookups are
-linear overall and never recurse.  Negative indices are rejected;
-closed-form cross-checks live alongside the recurrences so independent
-evaluations can be compared term by term.
+family's strip tilings (tilings.pieces_for), and as a polynomial they give
+the denominator of the family's series (family_series).  seq_term and
+seq_range step the recurrence forward from the seeds on every call; nothing
+is kept between calls.  Negative indices are rejected; closed-form
+cross-checks live alongside the recurrences so independent evaluations can
+be compared term by term.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from operator import itemgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .combinatorics import binomial
+from .series import CFinite
 
 
 class Family(NamedTuple):
@@ -98,32 +100,33 @@ def extend_terms(terms: List[int], lags: Sequence[int], count: int) -> None:
         append(sum(pick(terms)))
 
 
-_cache: Dict[Tuple[str, Optional[int]], List[int]] = {}
+def family_series(kind: SequenceKind) -> CFinite:
+    """The family's terms as one series: seeds * Q mod x^L over Q = 1 - sum x^lag."""
+    seeds, lags = seeds_and_lags(kind)
+    q = [1] + [0] * max(lags)
+    for lag in lags:
+        q[lag] -= 1
+    return CFinite.from_head(q, seeds)
 
 
 def _terms_through(kind: SequenceKind, n: int) -> List[int]:
-    key = (kind.family, kind.r)
-    terms = _cache.get(key)
-    if terms is None:
-        terms = _cache[key] = seeds_and_lags(kind)[0]
-    if len(terms) <= n:
-        extend_terms(terms, seeds_and_lags(kind)[1], n + 1 - len(terms))
+    terms, lags = seeds_and_lags(kind)
+    extend_terms(terms, lags, n + 1 - len(terms))
     return terms
 
 
 def seq_term(kind: SequenceKind, n: int) -> int:
-    """The n-th term of the family, n >= 0."""
+    """The n-th term of the family, n >= 0, by one forward pass from the seeds."""
     if n < 0:
         raise ValueError("sequence index must be nonnegative, got %d" % n)
     return _terms_through(kind, n)[n]
 
 
 def seq_range(kind: SequenceKind, start: int, stop: int) -> List[int]:
-    """Terms start..stop inclusive, computed in one forward pass."""
+    """Terms start..stop inclusive, computed in one forward pass from the seeds."""
     if start < 0 or stop < start:
         raise ValueError("need 0 <= start <= stop, got %d..%d" % (start, stop))
-    terms = _terms_through(kind, stop)
-    return terms[start : stop + 1]
+    return _terms_through(kind, stop)[start : stop + 1]
 
 
 def tribonacci_explicit(n: int) -> int:

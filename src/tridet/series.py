@@ -1,10 +1,17 @@
-"""Rational ordinary generating functions with exact coefficient extraction.
+"""C-finite series: num(x)/den(x) with integer coefficients and den(0) = 1.
+
+A sequence that obeys a linear recurrence with constant coefficients from
+some index on is the coefficient list of such a series (Zeilberger's
+"C-finite ansatz", Ramanujan J. 31, 2013).  CFinite is that one value:
+it is built from a denominator and the sequence's first terms
+(from_head), shifted, scaled, added, multiplied and multisected in closed
+form, and read out by division-free long division (coefficients).
 
 The catalog holds the closed rational forms tied to the determinant
 families checked in the identities module, keyed by the identity id they
 certify.  Monomials whose sign depends on the parity of an exponent are
 expanded to signed integer coefficients at construction, so every entry is
-a plain pair of integer polynomials.
+a plain CFinite.
 """
 
 from __future__ import annotations
@@ -17,37 +24,113 @@ from typing import Dict, List, Sequence, Tuple
 GF_FAMILIES = ("i22", "i23", "i24", "i28", "i29", "i30")
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Dense coefficient vector c0..cd; trailing zeros are normalized away."""
+def _trim(coeffs: Sequence[int]) -> Tuple[int, ...]:
+    end = len(coeffs)
+    while end and coeffs[end - 1] == 0:
+        end -= 1
+    return tuple(coeffs[:end])
 
-    coeffs: Tuple[int, ...]
 
-    @staticmethod
-    def from_coeffs(values) -> "IntPolynomial":
-        coeffs = list(values)
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
-        if not coeffs:
-            coeffs = [0]
-        return IntPolynomial(tuple(coeffs))
+def _plus(f: Sequence[int], g: Sequence[int]) -> List[int]:
+    if len(f) < len(g):
+        f, g = g, f
+    return [a + b for a, b in zip(f, g)] + list(f[len(g) :])
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
-    def coefficient(self, k: int) -> int:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return 0
+def _times(f: Sequence[int], g: Sequence[int]) -> List[int]:
+    out = [0] * max(len(f) + len(g) - 1, 0)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return out
 
 
 @dataclass(frozen=True)
-class RationalGF:
-    """num(x) / den(x) as a formal power series; den must have den(0) = 1."""
+class CFinite:
+    """The power series num(x) / den(x); den(0) = 1, trailing zeros trimmed.
 
-    num: IntPolynomial
-    den: IntPolynomial
+    Its coefficient sequence c_0, c_1, ... obeys sum_k den_k c_(n-k) = 0
+    for every n >= len(num).  The zero series has num = ().
+    """
+
+    num: Tuple[int, ...]
+    den: Tuple[int, ...] = (1,)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "num", _trim(self.num))
+        object.__setattr__(self, "den", _trim(self.den))
+        if not self.den or self.den[0] != 1:
+            raise ValueError(
+                "denominator constant term must be 1, got %d" % (self.den[0] if self.den else 0)
+            )
+
+    @classmethod
+    def from_head(cls, den: Sequence[int], head: Sequence[int]) -> "CFinite":
+        """The series over den that starts with head: num = head * den mod x^len(head).
+
+        It equals a sequence that begins with head and obeys den's
+        recurrence at every n >= len(head).
+        """
+        return cls(_times(head, den)[: len(head)], den)
+
+    def shift(self, k: int) -> "CFinite":
+        """x^k times the series; for k < 0, the series with its first -k coefficients dropped."""
+        if k >= 0:
+            return CFinite((0,) * k + self.num, self.den)
+        # (series - head) / x^(-k): the coefficients below x^(-k) cancel
+        head = self.coefficients(0, -k - 1)
+        return CFinite(_plus(self.num, [-c for c in _times(head, self.den)])[-k:], self.den)
+
+    def scale(self, c: int) -> "CFinite":
+        """The series at c*x: coefficient n times c^n."""
+        return CFinite(
+            [a * c**i for i, a in enumerate(self.num)], [a * c**i for i, a in enumerate(self.den)]
+        )
+
+    def __neg__(self) -> "CFinite":
+        return CFinite([-a for a in self.num], self.den)
+
+    def __add__(self, other: "CFinite") -> "CFinite":
+        if self.den == other.den:
+            return CFinite(_plus(self.num, other.num), self.den)
+        num = _plus(_times(self.num, other.den), _times(other.num, self.den))
+        return CFinite(num, _times(self.den, other.den))
+
+    def __mul__(self, other: "CFinite") -> "CFinite":
+        """The Cauchy product."""
+        return CFinite(_times(self.num, other.num), _times(self.den, other.den))
+
+    def multisect(self, s: int) -> "CFinite":
+        """The series of coefficients 0, s, 2s, ... of this one, for s >= 1.
+
+        Its denominator R has R(x^s) = the product of den(w x) over the s-th
+        roots of unity w, found from Newton power sums: the power sums of R
+        are those of den at multiples of s.  Its numerator has degree at
+        most (deg num + (s - 1) deg den) / s, so that many terms and one
+        more fix it by from_head.
+        """
+        if s == 1:
+            return self
+        q = self.den
+        order = len(q) - 1
+        # p_k = -k q_k - sum_{i<k} p_i q_(k-i) gives the power sums of den
+        sums = [0]
+        for k in range(1, s * order + 1):
+            acc = -k * q[k] if k <= order else 0
+            for i in range(max(1, k - order), k):
+                acc -= sums[i] * q[k - i]
+            sums.append(acc)
+        # and k R_k = -sum_{i=1..k} p_(s i) R_(k-i) recovers R
+        den = [1]
+        for k in range(1, order + 1):
+            den.append(-sum(sums[s * i] * den[k - i] for i in range(1, k + 1)) // k)
+        terms = (len(self.num) - 1 + (s - 1) * order) // s + 1
+        return CFinite.from_head(den, self.coefficients(0, s * (terms - 1))[::s])
+
+    def coefficients(self, lo: int, hi: int) -> List[int]:
+        """c_lo .. c_hi, 0 <= lo."""
+        return rational_coefficients(self.num, self.den, hi)[lo:]
 
 
 def rational_coefficients(num: Sequence[int], den: Sequence[int], n: int) -> List[int]:
@@ -68,22 +151,18 @@ def rational_coefficients(num: Sequence[int], den: Sequence[int], n: int) -> Lis
     return coeffs
 
 
-def expand_rational(gf: RationalGF, terms: int) -> List[int]:
-    """Coefficients of x^1 .. x^terms of the series num/den (den(0) = 1)."""
+def expand_rational(gf: CFinite, terms: int) -> List[int]:
+    """Coefficients of x^1 .. x^terms of the series gf."""
     if terms < 1:
         raise ValueError("terms must be positive, got %d" % terms)
-    den = gf.den.coeffs
-    if den[0] != 1:
-        raise ValueError("denominator constant term must be 1, got %d" % den[0])
-    return rational_coefficients(gf.num.coeffs, den, terms)[1:]
+    return gf.coefficients(1, terms)
 
 
-def _poly(monomials: Dict[int, int]) -> IntPolynomial:
-    top = max(monomials) if monomials else 0
-    coeffs = [0] * (top + 1)
+def _poly(monomials: Dict[int, int]) -> List[int]:
+    coeffs = [0] * (max(monomials) + 1)
     for degree, coeff in monomials.items():
         coeffs[degree] += coeff
-    return IntPolynomial.from_coeffs(coeffs)
+    return coeffs
 
 
 def _add(monomials: Dict[int, int], degree: int, coeff: int) -> None:
@@ -94,7 +173,7 @@ def _sign(k: int) -> int:
     return -1 if k % 2 else 1
 
 
-def gf_catalog(family: str, r: int) -> RationalGF:
+def gf_catalog(family: str, r: int) -> CFinite:
     """Catalog entry for a family at order r.
 
     Families i23 and i24 exist only for odd r (i24 only at r = 3); the
@@ -200,4 +279,4 @@ def gf_catalog(family: str, r: int) -> RationalGF:
         _add(den, r - 1, _sign(r - 1))
         _add(den, r, _sign(r))
 
-    return RationalGF(_poly(num), _poly(den))
+    return CFinite(_poly(num), _poly(den))

@@ -17,6 +17,7 @@ from tridet import (
     expand_rational,
     gf_catalog,
     registry,
+    seq_range,
     seq_term,
 )
 
@@ -219,11 +220,12 @@ def test_residue_case_beyond_default_orders():
 
 
 def test_signed_power_sum_exponent_safety():
-    # every live binomial must come with a nonnegative exponent; the
-    # evaluator asserts this internally
-    case = _by_id()["I-09"]
-    for n in range(1, 41):
-        check_identity(case, None, n)
+    # every live binomial must come with a nonnegative exponent; the head
+    # sum asserts this internally, so it runs here at every n, not only at
+    # the head, and still equals the declared right side
+    sums = [identities_module._sum_i09(n) for n in range(61)]
+    swept = [rhs for _, rhs in _by_id()["I-09"].sweep(None, 1, 60)]
+    assert swept == [_neg1(n - 1) * sums[n] for n in range(1, 61)]
 
 
 @given(st.data())
@@ -318,8 +320,8 @@ def _aux_i21(r, n):
 def _rhs_i23(r, n):
     if r % 2 == 1:
         return _neg1(n - 1) * _gf_coeff("i23", r, n)
-    half = SequenceKind("square-rmino", r // 2)
-    conv = sum(seq_term(half, i) * seq_term(half, n - 1 - i) for i in range(n))
+    h = seq_range(SequenceKind("square-rmino", r // 2), 0, n - 1)
+    conv = sum(h[i] * h[n - 1 - i] for i in range(n))
     return _neg1(n - 1) * conv
 
 
@@ -349,6 +351,37 @@ def _rhs_i19(r, n):
     if 2 * n == r:
         total += 1
     return _neg1(n - 1) * total
+
+
+def _rhs_i10(r, n):
+    m = n % 3
+    if m == 0:
+        return _neg1(n)
+    if m == 1:
+        return _neg1(n + 1)
+    return 0
+
+
+def _rhs_i25(r, n):
+    m = (r - 1) // 2
+    if n % m == 0:
+        q = 2 * n // (r - 1)
+        return _neg1(n - q)
+    if (n - 1) % m == 0:
+        q = 2 * (n - 1) // (r - 1)
+        return 2 * _neg1(n - 1 - q)
+    if (n - 2) % m == 0:
+        q = 2 * (n - 2) // (r - 1)
+        return _neg1(n - q)
+    return 0
+
+
+def _rhs_i34a(r, n):
+    # signed (r-1)-step value at n - 2; at r = 2 the one-step count, one
+    # all-squares tiling of each length n - 2 >= 0
+    if r == 2:
+        return 0 if n == 1 else _neg1(n - 1)
+    return _neg1(n - 1) * seq_term(SequenceKind("k-step-fibonacci", r - 1), n - 2)
 
 
 def _aux_i31(m):
@@ -389,14 +422,52 @@ _PER_N_RIGHT_SIDES = [
         binomial(2 * n - r - 1 - (r - 1) * i, i)
         for i in range((2 * n - r - 1) // r + 1)
     )),
+    ("I-01", None, lambda r, n: _neg1(n - 1) * seq_term(SequenceKind("fibonacci"), n - 2)),
+    ("I-02", None, lambda r, n: _neg1(n - 1) * seq_term(SequenceKind("padovan"), n + 2)),
+    ("I-03", None, lambda r, n: (2**n + 6) // 14),
+    ("I-07", None, lambda r, n: _neg1(n - 1)
+     * (4 * 3 ** (n - 3) if n >= 3 else 4 // 3 ** (3 - n))),
+    ("I-10", None, _rhs_i10),
+    ("I-11", None, lambda r, n: 4 * _neg1(n - 1)),
+    ("I-14", None, lambda r, n: _neg1(n - 1) * seq_term(SequenceKind("fibonacci"), n - r + 1)),
+    ("I-15", None, lambda r, n: _neg1(n - 1)
+     * seq_term(SequenceKind("square-rmino", r), n - 2)),
+    ("I-16", None, lambda r, n: _neg1(n - 1)
+     * seq_term(SequenceKind("gen-padovan", r), n + r - 1)),
+    ("I-17", None, lambda r, n: _neg1(n - 1) * (1 if n == r else 0)),
+    ("I-19b", None, lambda r, n: (3 if n >= (r + 1) // 2 else 1) * _neg1(n - 1)),
+    ("I-25", None, _rhs_i25),
+    ("I-26", None, lambda r, n: 0 if n % 2 == 0 else 2 * _neg1((n - 1) // 2)),
+    ("I-33", None, lambda r, n: (2**n + 2**r - 2) // (2 ** (r + 1) - 2)),
+    # I-34's two clauses, each with its own determinant and right side
+    ("I-34a", None, _rhs_i34a),
+    ("I-34b", None, lambda r, n: _neg1(n - 1)
+     * seq_term(SequenceKind("q-sequence", r), n + r - 1)),
 ]
+
+
+def _declared(cid):
+    """(case, first n, right side as swept for (r, lo, hi)) of a _PER_N_RIGHT_SIDES id."""
+    if cid in ("I-34a", "I-34b"):
+        clause = "ab".index(cid[-1])
+
+        def clause_at(r):
+            return identities_module._i34_clauses(r)[clause]
+
+        return (
+            _by_id()["I-34"],
+            lambda r: clause_at(r)[2],
+            lambda r, lo, hi: clause_at(r)[1].coefficients(lo, hi),
+        )
+    case = _by_id()[cid]
+    return case, case.n_min, lambda r, lo, hi: [rhs for _, rhs in case.sweep(r, lo, hi)]
 
 
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_sequence_right_sides_match_the_per_n_forms(data):
     cid, parity, per_n = data.draw(st.sampled_from(_PER_N_RIGHT_SIDES))
-    case = _by_id()[cid]
+    case, n_min, declared = _declared(cid)
     r = None
     if case.parameterized:
         orders = [
@@ -404,11 +475,12 @@ def test_sequence_right_sides_match_the_per_n_forms(data):
             if case.accepts_r(r) and (parity is None or r % 2 == parity)
         ]
         r = data.draw(st.sampled_from(orders))
-    lo = data.draw(st.integers(case.n_min(r), 60))
+    lo = data.draw(st.integers(n_min(r), 60))
     hi = data.draw(st.integers(lo, 60))
-    swept = [rhs for _, rhs in case.sweep(r, lo, hi)]
+    swept = declared(r, lo, hi)
     assert swept == [per_n(r, n) for n in range(lo, hi + 1)]
-    assert swept == [case.rhs(r, n) for n in range(lo, hi + 1)]
+    if case.rhs is not None:
+        assert swept == [case.rhs(r, n) for n in range(lo, hi + 1)]
 
 
 def test_deep_sweep_is_clean():
@@ -426,7 +498,7 @@ def test_deep_sweep_is_clean():
          for cid, parity, _ in _PER_N_RIGHT_SIDES],
 )
 def test_per_n_forms_hold_deep(cid, parity, per_n):
-    case = _by_id()[cid]
+    case, _, declared = _declared(cid)
     orders = [None]
     if case.parameterized:
         orders = [
@@ -434,5 +506,27 @@ def test_per_n_forms_hold_deep(cid, parity, per_n):
             if case.accepts_r(r) and (parity is None or r % 2 == parity)
         ]
     for r in orders:
-        swept = [rhs for _, rhs in case.sweep(r, 380, 400)]
+        swept = declared(r, 380, 400)
         assert swept == [per_n(r, n) for n in range(380, 401)], (cid, r)
+
+
+def test_domain_edges_agree_with_a_longer_sweep():
+    # sweep(r, n, n) at the first and the last in-domain n is the matching
+    # entry of a longer sweep, and both pass: a head one term short or a
+    # shift off by one shows here first
+    covered = set()
+    for case in registry():
+        orders = [r for r in range(2, 14) if case.accepts_r(r)] if case.parameterized else [None]
+        for r in orders:
+            lo, cap = case.n_min(r), case.n_cap(r)
+            hi = lo + 30 if cap is None else cap
+            pairs = case.sweep(r, lo, hi)
+            assert all(lhs == rhs for lhs, rhs in pairs), (case.id, r)
+            for n in {lo, hi} if cap is not None else {lo}:
+                assert case.sweep(r, n, n) == [pairs[n - lo]], (case.id, r, n)
+            covered.add((case.id, r))
+    # the smallest order of each parity rule and the r = 2 extensions
+    smallest = {("I-19", 3), ("I-19", 4), ("I-19b", 3), ("I-20", 3), ("I-21", 4),
+                ("I-23", 3), ("I-23", 4), ("I-25", 7), ("I-26", 5), ("I-32", 3),
+                ("I-33", 2), ("I-34", 2)}
+    assert smallest <= covered

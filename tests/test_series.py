@@ -1,4 +1,4 @@
-"""Polynomial container, rational series expansion, and the series catalog."""
+"""The C-finite series value, rational series expansion, and the series catalog."""
 
 import pytest
 from hypothesis import given
@@ -6,25 +6,38 @@ from hypothesis import strategies as st
 
 from tridet import (
     GF_FAMILIES,
-    IntPolynomial,
-    RationalGF,
+    CFinite,
     expand_rational,
     gf_catalog,
 )
 
 
 def _gf(num, den):
-    return RationalGF(IntPolynomial.from_coeffs(num), IntPolynomial.from_coeffs(den))
+    return CFinite(num, den)
 
 
 def test_polynomial_normalization():
-    p = IntPolynomial.from_coeffs([1, 2, 0, 0])
-    assert p.coeffs == (1, 2)
-    assert p.degree == 1
-    assert p.coefficient(0) == 1
-    assert p.coefficient(5) == 0
-    zero = IntPolynomial.from_coeffs([])
-    assert zero.coeffs == (0,)
+    gf = CFinite([1, 2, 0, 0], [1, -1, 0])
+    assert gf.num == (1, 2)
+    assert gf.den == (1, -1)
+    zero = CFinite([0, 0])
+    assert zero.num == () and zero.den == (1,)
+    assert zero.coefficients(0, 3) == [0, 0, 0, 0]
+
+
+def test_value_worked_examples():
+    fib = CFinite.from_head((1, -1, -1), (0, 1))
+    assert fib.num == (0, 1)
+    assert fib.coefficients(0, 7) == [0, 1, 1, 2, 3, 5, 8, 13]
+    assert fib.coefficients(5, 7) == [5, 8, 13]
+    assert fib.shift(2).coefficients(0, 4) == [0, 0, 0, 1, 1]
+    assert fib.shift(-3).coefficients(0, 4) == [2, 3, 5, 8, 13]
+    assert fib.scale(-2).coefficients(0, 4) == [0, -2, 4, -16, 48]
+    assert fib.multisect(2).coefficients(0, 4) == [0, 1, 3, 8, 21]
+    assert fib.multisect(3).den == (1, -4, -1)
+    assert (fib + fib.shift(1)).coefficients(0, 5) == [0, 1, 2, 3, 5, 8]
+    assert (fib * fib).coefficients(0, 5) == [0, 0, 1, 2, 5, 10]
+    assert (-fib).coefficients(0, 3) == [0, -1, -1, -2]
 
 
 def test_expand_worked_examples():
@@ -48,14 +61,14 @@ def test_expand_validation():
 )
 def test_expansion_inverts_convolution(num, den_tail, terms):
     gf = _gf(num, [1] + den_tail)
-    coeffs = [gf.num.coefficient(0)] + expand_rational(gf, terms)
-    den = gf.den.coeffs
+    coeffs = [num[0]] + expand_rational(gf, terms)
+    den = gf.den
     # den * coeffs must reproduce num up to x^terms
     for n in range(terms + 1):
         conv = sum(
-            den[k] * coeffs[n - k] for k in range(min(n, gf.den.degree) + 1)
+            den[k] * coeffs[n - k] for k in range(min(n, len(den) - 1) + 1)
         )
-        assert conv == gf.num.coefficient(n)
+        assert conv == (num[n] if n < len(num) else 0)
 
 
 # catalog polynomials at small orders, reduced by hand after cancellation
@@ -79,8 +92,8 @@ CATALOG_FROZEN = {
 def test_catalog_polynomials(family, r):
     num, den = CATALOG_FROZEN[(family, r)]
     gf = gf_catalog(family, r)
-    assert gf.num.coeffs == num
-    assert gf.den.coeffs == den
+    assert gf.num == num
+    assert gf.den == den
 
 
 # first coefficients of each catalog entry, frozen after independent
@@ -137,6 +150,6 @@ def test_catalog_denominators_have_unit_constant():
     for family in GF_FAMILIES:
         for r in rs[family]:
             gf = gf_catalog(family, r)
-            assert gf.den.coefficient(0) == 1
+            assert gf.den[0] == 1
             # expansion must start cleanly: constant coefficient zero
-            assert gf.num.coefficient(0) == 0
+            assert gf.num[0] == 0
