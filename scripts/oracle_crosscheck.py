@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Randomized cross-validation of the independent evaluation routes.
 
-Seven blocks: determinant evaluators against each other on random specs,
+Eight blocks: determinant evaluators against each other on random specs,
 the size-4 polynomial expansion, tiling counts against sequence terms,
 the C-finite route against the expansion recurrence on random rules,
 series coefficients against determinant sequences, Bostan-Mori halving
 against the linear C-finite expansion on random rules at sizes past the
-check's first block, and each operation of the C-finite series value
-against the same operation on plain term lists.  One PASS/FAIL line per
-block; exit 1 on any disagreement.
+check's first block, each operation of the C-finite series value
+against the same operation on plain term lists, and the entry-free
+determinant series of a rule against both entry routes.  One PASS/FAIL
+line per block; exit 1 on any disagreement.
 """
 
 import argparse
@@ -22,6 +23,7 @@ from tridet import (
     SequenceKind,
     count_tilings,
     det_dense,
+    det_gf,
     det_prefixes,
     det_recurrence,
     det_sequence,
@@ -33,6 +35,7 @@ from tridet import (
     pieces_for,
     seq_term,
 )
+from tridet.series import rational_coefficients
 
 
 def report(label: str, ok: bool) -> bool:
@@ -211,6 +214,25 @@ def series_operations_match(rng: random.Random, trials: int) -> bool:
     return ok
 
 
+def entry_free_matches(rng: random.Random, trials: int) -> bool:
+    """det_gf against det_sequence and det_prefixes with a0 not +-1, stride >= 3, start > 0."""
+    ok = True
+    for _ in range(trials):
+        kind = rng.choice(RULE_KINDS)
+        rule = EntryRule(
+            kind,
+            rng.randint(1, (kind.r or 3) + 3),
+            rng.randint(3, 5),
+            rng.choice((2, -2, 3, -3)),
+        )
+        spec = make_entries(rule, rng.randint(1, 80))
+        expected = det_prefixes(spec)
+        if not rational_coefficients(*det_gf(rule), spec.n) == det_sequence(spec) == expected:
+            print("  disagreement on %r, n=%d" % (rule, spec.n))
+            ok = False
+    return ok
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=20260822)
@@ -245,6 +267,11 @@ def main() -> int:
         "C-finite series operations match term-list arithmetic on %d random pairs"
         % args.trials,
         series_operations_match(rng, args.trials),
+    )
+    ok &= report(
+        "entry-free determinant series match both entry routes on %d random rules"
+        % args.trials,
+        entry_free_matches(rng, args.trials),
     )
     return 0 if ok else 1
 

@@ -12,6 +12,7 @@ from .determinant import (
     EntryRule,
     HessenbergSpec,
     det_dense,
+    det_gf,
     det_prefixes,
     det_recurrence,
     det_sequence,
@@ -27,6 +28,7 @@ from .identities import (
     VerificationSummary,
     check_all,
     check_identity,
+    check_sweeps,
     registry,
 )
 from .sequences import (
@@ -57,6 +59,7 @@ __all__ = [
     "EntryRule",
     "HessenbergSpec",
     "det_dense",
+    "det_gf",
     "det_prefixes",
     "det_recurrence",
     "det_sequence",
@@ -70,6 +73,7 @@ __all__ = [
     "VerificationSummary",
     "check_all",
     "check_identity",
+    "check_sweeps",
     "registry",
     "FIXED_FAMILIES",
     "PARAMETRIC_FAMILIES",

@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
 from functools import partial
+from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
 from .determinant import (
@@ -29,14 +31,16 @@ from .determinant import (
     det_trudi_partitions,
     make_entries,
 )
-from .identities import DEFAULT_N_MAX, DEFAULT_R_SET, check_all
+from .identities import DEFAULT_N_MAX, DEFAULT_R_SET, check_sweeps
 from .sequences import SequenceKind, seq_range
 from .series import GF_FAMILIES, expand_rational, gf_catalog
 from .tilings import PieceSet, count_tilings, enumerate_tilings
 
-# verify --nmax 2000 runs in about 5 s, prints about 110 MB and peaks near
-# 0.5 GB with --format json (Python 3.11, 2-vCPU host); each doubling of
-# n_max makes the output about 4x and the peak memory about 3x as large
+# verify --nmax 2000 runs in about 2.5 s and prints 118 MB with --format
+# json (Python 3.11, 2-vCPU host).  Streamed one sweep at a time, it peaks
+# near 30 MB RSS in every format: the peak follows the largest single sweep
+# (17, 20, 29 MB at n_max 500, 1000, 2000) while each doubling of n_max makes
+# the output about 4x as large, so the ceiling bounds run time and output size
 NMAX_CEILING = 2000
 
 _DET_METHODS = {
@@ -50,36 +54,61 @@ _DET_METHODS = {
 def _emit(
     fmt: str,
     plain: Callable[[], Iterable[str]],
-    doc: Callable[[], dict],
+    doc: Callable[[], Iterable[str]],
     columns: Sequence[str],
-    rows: Callable[[], Iterable[Sequence]],
+    rows: Callable[[], Iterable[Iterable[Sequence]]],
 ) -> None:
     """Write one result to stdout; no other code in this module does.
 
-    plain() gives the lines of plain text, doc() the JSON document and
-    rows() the CSV rows under the header columns.  Only the one for fmt is
-    called, so the other formats are never built.
+    Every format comes in batches, each written at once and then dropped:
+    plain() gives pieces of plain text, doc() pieces of one JSON document
+    and rows() batches of CSV rows under the header columns.  Only the one
+    for fmt is called, so the other formats are never built.
     """
+    out = sys.stdout
     if fmt == "plain":
-        for line in plain():
-            print(line)
+        for text in plain():
+            out.write(text)
     elif fmt == "json":
-        print(json.dumps(doc()))
+        for text in doc():
+            out.write(text)
+        out.write("\n")
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows())
+        for batch in chain([[columns]], rows()):
+            text = io.StringIO()
+            csv.writer(text, lineterminator="\n").writerows(batch)
+            out.write(text.getvalue())
+
+
+def _lines(lines: Iterable[str]) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+# seq writes its terms this many at a time, so their digits are held once
+_SEQ_BATCH = 256
 
 
 def _cmd_seq(args: argparse.Namespace, emit: Callable[..., None]) -> int:
     kind = SequenceKind(args.kind, args.r)
-    terms = [str(t) for t in seq_range(kind, args.start, args.stop)]
-    emit(
-        lambda: [" ".join(terms)],
-        lambda: {"kind": args.kind, "r": args.r, "from": args.start, "to": args.stop, "terms": terms},
-        ["n", "value"],
-        lambda: enumerate(terms, start=args.start),
-    )
+    terms = seq_range(kind, args.start, args.stop)
+    starts = range(0, len(terms), _SEQ_BATCH)
+
+    def plain():
+        for i in starts:
+            yield (" " if i else "") + " ".join(map(str, terms[i : i + _SEQ_BATCH]))
+        yield "\n"
+
+    def doc():
+        yield json.dumps(
+            {"kind": args.kind, "r": args.r, "from": args.start, "to": args.stop,
+             "terms": [str(t) for t in terms]}
+        )
+
+    def rows():
+        for i in starts:
+            yield zip(range(args.start + i, args.stop + 1), terms[i : i + _SEQ_BATCH])
+
+    emit(plain, doc, ["n", "value"], rows)
     return 0
 
 
@@ -102,11 +131,12 @@ def _cmd_det(args: argparse.Namespace, emit: Callable[..., None]) -> int:
             "values": dict(values),
         }
 
+    lines = [values[0][1]] if len(values) == 1 else ["%s %s" % pair for pair in values]
     emit(
-        lambda: [values[0][1]] if len(values) == 1 else ["%s %s" % pair for pair in values],
-        doc,
+        lambda: [_lines(lines)],
+        lambda: [json.dumps(doc())],
         ["method", "value"],
-        lambda: values,
+        lambda: [values],
     )
     return 0
 
@@ -143,13 +173,13 @@ def _cmd_tilings(args: argparse.Namespace, emit: Callable[..., None]) -> int:
         return out
 
     if tilings is None:
-        emit(lambda: [count], doc, ["count"], lambda: [[count]])
+        emit(lambda: [count + "\n"], lambda: [json.dumps(doc())], ["count"], lambda: [[[count]]])
     else:
         emit(
-            lambda: [count] + [line(t) for t in tilings],
-            doc,
+            lambda: [_lines([count] + [line(t) for t in tilings])],
+            lambda: [json.dumps(doc())],
             ["index", "tiling"],
-            lambda: enumerate(map(line, tilings)),
+            lambda: [enumerate(map(line, tilings))],
         )
     return 0
 
@@ -175,7 +205,12 @@ def _cmd_gf(args: argparse.Namespace, emit: Callable[..., None]) -> int:
             "coefficients": coeffs,
         }
 
-    emit(lambda: [" ".join(coeffs)], doc, ["n", "coefficient"], lambda: enumerate(coeffs, start=1))
+    emit(
+        lambda: [" ".join(coeffs) + "\n"],
+        lambda: [json.dumps(doc())],
+        ["n", "coefficient"],
+        lambda: [enumerate(coeffs, start=1)],
+    )
     return 0
 
 
@@ -193,46 +228,56 @@ def _cmd_verify(args: argparse.Namespace, emit: Callable[..., None]) -> int:
             raise ValueError("--r-set was given but names no values")
     else:
         r_set = DEFAULT_R_SET
-    reports, summary = check_all(
-        r_set=r_set, n_max=args.nmax, ids=ids, fail_fast=args.fail_fast
-    )
-    if not reports:
+    sweeps = check_sweeps(r_set=r_set, n_max=args.nmax, ids=ids, fail_fast=args.fail_fast)
+    # unknown ids and a selection that checks nothing are refused before any output
+    first = next(sweeps, None)
+    if first is None:
         raise ValueError("no in-domain check for these --ids, --r-set and --nmax")
-    counts = {"checked": summary.checked, "passed": summary.passed, "failed": summary.failed}
+    counts = {"checked": 0, "passed": 0, "failed": 0}
+
+    def counted():
+        for reports in chain([first], sweeps):
+            passed = sum(rep.passed for rep in reports)
+            counts["checked"] += len(reports)
+            counts["passed"] += passed
+            counts["failed"] += len(reports) - passed
+            yield reports
 
     def plain():
-        for rep in reports:
-            yield "%s %s r=%s n=%d lhs=%d rhs=%d" % (
-                "PASS" if rep.passed else "FAIL",
-                rep.id,
-                "-" if rep.r is None else rep.r,
-                rep.n,
-                rep.lhs,
-                rep.rhs,
+        for reports in counted():
+            yield _lines(
+                "%s %s r=%s n=%d lhs=%d rhs=%d"
+                % ("PASS" if rep.passed else "FAIL", rep.id, "-" if rep.r is None else rep.r,
+                   rep.n, rep.lhs, rep.rhs)
+                for rep in reports
             )
-        yield "checked=%(checked)d passed=%(passed)d failed=%(failed)d" % counts
+        yield "checked=%(checked)d passed=%(passed)d failed=%(failed)d\n" % counts
 
     def doc():
-        records = [
-            {
-                "id": rep.id,
-                "r": rep.r,
-                "n": rep.n,
-                "lhs": str(rep.lhs),
-                "rhs": str(rep.rhs),
-                "pass": rep.passed,
-            }
-            for rep in reports
-        ]
-        return {"reports": records, "summary": counts}
+        # each record as json.dumps writes it, without building a dict per report;
+        # the reports of one sweep share their id and r
+        sep = '{"reports": ['
+        for reports in counted():
+            lead = reports[0]
+            head = '{"id": %s, "r": %s, "n": ' % (json.dumps(lead.id), json.dumps(lead.r))
+            yield sep + ", ".join(
+                '%s%d, "lhs": "%d", "rhs": "%d", "pass": %s}'
+                % (head, rep.n, rep.lhs, rep.rhs, "true" if rep.passed else "false")
+                for rep in reports
+            )
+            sep = ", "
+        yield '], "summary": %s}' % json.dumps(counts)
 
     def rows():
-        for rep in reports:
-            r = "" if rep.r is None else rep.r
-            yield [rep.id, r, rep.n, str(rep.lhs), str(rep.rhs), "true" if rep.passed else "false"]
+        for reports in counted():
+            r = "" if reports[0].r is None else reports[0].r
+            yield (
+                [rep.id, r, rep.n, str(rep.lhs), str(rep.rhs), "true" if rep.passed else "false"]
+                for rep in reports
+            )
 
     emit(plain, doc, ["id", "r", "n", "lhs", "rhs", "pass"], rows)
-    return 1 if summary.failed else 0
+    return 1 if counts["failed"] else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

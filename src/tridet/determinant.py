@@ -15,6 +15,10 @@ evaluation routes cross-certify each other:
   det(M_n) by Bostan-Mori halving in O(L^2 log n) integer products;
   det_sequence expands every coefficient in O(n*L) steps.  Each is
   cross-checked against the other and against det_prefixes.
+- det_gf: the same num/den for an EntryRule, from Q and the rule's first
+  L entries alone; no later entry is made or checked, since the rule
+  generates them by Q's recurrence (the tests check that it does for
+  every registry rule).  The registry's sweeps expand it.
 - det_prefixes: first-row expansion in O(n^2), the oracle for the
   C-finite route and the route for specs without a rule.
 - det_trudi_partitions, det_trudi_compositions: combinatorial expansions
@@ -27,11 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import add, mul, sub
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .combinatorics import compositions, multinomial, partitions
-from .sequences import SequenceKind, extend_terms, family_series, seeds_and_lags
-from .series import CFinite, rational_coefficients
+from .sequences import SequenceKind, extend_terms, family_den, seeds_and_lags
+from .series import CFinite, multisected_den, rational_coefficients
 
 # oracle caps, with one evaluation at the cap (tribonacci entries, Python 3.11, 2-vCPU Xeon)
 TRUDI_PARTITION_CAP = 45  # p(45) = 89134 partitions, 20 % more per n: 0.9 s
@@ -144,7 +148,7 @@ def annihilator(rule: EntryRule) -> List[int]:
     holds from the first entry).  Q is the denominator of the family's
     series multisected at the rule's stride: 1 - sum x^lag for stride 1.
     """
-    return list(family_series(rule.kind).multisect(rule.stride).den)
+    return multisected_den(family_den(rule.kind), rule.stride)
 
 
 def _check_entries(spec: HessenbergSpec, q: List[int]) -> None:
@@ -179,24 +183,40 @@ def _check_entries(spec: HessenbergSpec, q: List[int]) -> None:
             )
 
 
-def _rational(spec: HessenbergSpec) -> Tuple[List[int], List[int]]:
-    """num, den with det(M_m) = [x^m] num/den for m <= n, for a rule-built spec.
+def _gf(a0: int, q: List[int], head: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """num, den with det(M_m) = [x^m] num/den, for entries whose series is P/Q.
 
-    The entries' series is P/Q, with Q the rule's annihilator and P read off
-    the first L entries; every later entry is checked against Q.  The
+    q is Q and head the first L = deg Q entries, which fix P.  The
     determinants are the coefficients of Q(-a0 x) / (Q(-a0 x) - x P(-a0 x)),
     whose denominator has constant term 1.
     """
-    q = annihilator(spec.rule)
-    # P = (entries * Q) mod x^L; the coefficients from x^L on must vanish
-    entries = CFinite.from_head(q, spec.entries[: len(q) - 1])
-    _check_entries(spec, q)
-    scaled = entries.scale(-spec.a0)
+    # P = (entries * Q) mod x^L
+    scaled = CFinite.from_head(q, head).scale(-a0)
     num = list(scaled.den)
     den = num[:]
     for j, pj in enumerate(scaled.num):
         den[j + 1] -= pj
     return num, den
+
+
+def det_gf(rule: EntryRule) -> Tuple[List[int], List[int]]:
+    """num, den with det(M_m) = [x^m] num/den for every m, for the matrices of a rule.
+
+    Built from the rule's annihilator and its first L entries only: no entry
+    past a_L is made, so a sweep to any n costs no entries.
+    """
+    q = annihilator(rule)
+    return _gf(rule.a0, q, make_entries(rule, len(q) - 1).entries)
+
+
+def _rational(spec: HessenbergSpec) -> Tuple[List[int], List[int]]:
+    """det_gf for a rule-built spec, read off its own entries after checking them.
+
+    The first L entries fix num/den; every later entry is checked against Q.
+    """
+    q = annihilator(spec.rule)
+    _check_entries(spec, q)
+    return _gf(spec.a0, q, spec.entries[: len(q) - 1])
 
 
 def _product_coeffs(f: List[int], g: List[int], parity: int) -> List[int]:

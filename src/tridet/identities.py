@@ -8,12 +8,15 @@ from a left side's series: a family's series shifted, a tiling sum's
 form given by its denominator and its first printed values (_printed).
 The comment next to each case is the derivation from the printed formula
 to the declared series.  Every case is evaluated one way, by its sweep:
-the (lhs, rhs) pairs for n = lo..hi at one r, from one determinant
-sequence and one expansion of the series, O(n) terms per (case, r).
-evaluate, rule and rhs are single-point views of the same case.  A report
-passes when the two integers are equal; failures are data, never
-exceptions.  Checks outside a case's stated (r, n) domain are refused
-rather than silently passed.
+the (lhs, rhs) pairs for n = lo..hi at one r, from one expansion of the
+rule's determinant series (determinant.det_gf, built from the first L
+entries; no later entry is made) and one expansion of the right side,
+O(n) terms per (case, r).  evaluate, rule and rhs are single-point views
+of the same case.  check_sweeps yields the reports one (case, r) sweep at
+a time, so a caller can write each sweep and drop it; check_all collects
+them.  A report passes when the two integers are equal; failures are
+data, never exceptions.  Checks outside a case's stated (r, n) domain are
+refused rather than silently passed.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .combinatorics import binomial
-from .determinant import EntryRule, det_sequence, make_entries
+from .determinant import EntryRule, det_gf
 from .sequences import SequenceKind, family_series, seq_range, seq_term
-from .series import CFinite, gf_catalog
+from .series import CFinite, gf_catalog, rational_coefficients
 
 DEFAULT_R_SET = (2, 3, 4, 5, 6, 7, 8)
 DEFAULT_N_MAX = 24
@@ -123,8 +126,8 @@ def _printed(den: Sequence[int], formula: Callable[[int], int], terms: int) -> C
 
 
 def _pairs(rule: EntryRule, gf: CFinite, lo: int, hi: int) -> List[Tuple[int, int]]:
-    """(lhs, rhs) for n = lo..hi from one determinant sequence and one expansion of gf."""
-    return list(zip(det_sequence(make_entries(rule, hi))[lo:], gf.coefficients(lo, hi)))
+    """(lhs, rhs) for n = lo..hi from one expansion of det_gf(rule) and one of gf."""
+    return list(zip(rational_coefficients(*det_gf(rule), hi)[lo:], gf.coefficients(lo, hi)))
 
 
 def _case(
@@ -602,6 +605,41 @@ def check_identity(case: IdentityCase, r: Optional[int], n: int) -> IdentityRepo
     return IdentityReport(case.id, r, n, lhs, rhs, lhs == rhs)
 
 
+def check_sweeps(
+    r_set: Sequence[int] = DEFAULT_R_SET,
+    n_max: int = DEFAULT_N_MAX,
+    ids: Optional[Sequence[str]] = None,
+    fail_fast: bool = False,
+) -> Iterator[List[IdentityReport]]:
+    """The reports of check_all, one in-domain (case, r) sweep at a time.
+
+    Each item is the nonempty list of one sweep's reports in n order; with
+    fail_fast, the sweep holding the first failure ends at it and nothing
+    follows.  Unknown ids raise ValueError when the first item is asked for.
+    """
+    cases = registry()
+    if ids is not None:
+        known = {c.id for c in cases}
+        unknown = sorted(set(ids) - known)
+        if unknown:
+            raise ValueError("unknown identity ids: %s" % ", ".join(unknown))
+        wanted = set(ids)
+        cases = [c for c in cases if c.id in wanted]
+    for case in cases:
+        for r in sorted(set(r_set)) if case.parameterized else [None]:
+            ns = _n_range(case, r, n_max)
+            if not ns:
+                continue
+            reports = [
+                IdentityReport(case.id, r, n, lhs, rhs, lhs == rhs)
+                for n, (lhs, rhs) in zip(ns, case.sweep(r, ns[0], ns[-1]), strict=True)
+            ]
+            if fail_fast and not all(report.passed for report in reports):
+                yield reports[: next(i for i, rep in enumerate(reports) if not rep.passed) + 1]
+                return
+            yield reports
+
+
 def check_all(
     r_set: Sequence[int] = DEFAULT_R_SET,
     n_max: int = DEFAULT_N_MAX,
@@ -613,28 +651,6 @@ def check_all(
     Reports come back ordered by (id, r, n) with fixed cases first at
     r = None; fixed cases run once regardless of r_set.
     """
-    cases = registry()
-    if ids is not None:
-        known = {c.id for c in cases}
-        unknown = sorted(set(ids) - known)
-        if unknown:
-            raise ValueError("unknown identity ids: %s" % ", ".join(unknown))
-        wanted = set(ids)
-        cases = [c for c in cases if c.id in wanted]
-
-    def sweeps() -> Iterator[IdentityReport]:
-        for case in cases:
-            for r in sorted(set(r_set)) if case.parameterized else [None]:
-                ns = _n_range(case, r, n_max)
-                if ns:
-                    for n, (lhs, rhs) in zip(ns, case.sweep(r, ns[0], ns[-1]), strict=True):
-                        yield IdentityReport(case.id, r, n, lhs, rhs, lhs == rhs)
-
-    reports: List[IdentityReport] = []
-    for report in sweeps():
-        reports.append(report)
-        if fail_fast and not report.passed:
-            break
+    reports = [rep for sweep in check_sweeps(r_set, n_max, ids, fail_fast) for rep in sweep]
     passed = sum(1 for report in reports if report.passed)
-    summary = VerificationSummary(len(reports), passed, len(reports) - passed)
-    return reports, summary
+    return reports, VerificationSummary(len(reports), passed, len(reports) - passed)

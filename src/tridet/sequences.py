@@ -100,13 +100,18 @@ def extend_terms(terms: List[int], lags: Sequence[int], count: int) -> None:
         append(sum(pick(terms)))
 
 
-def family_series(kind: SequenceKind) -> CFinite:
-    """The family's terms as one series: seeds * Q mod x^L over Q = 1 - sum x^lag."""
-    seeds, lags = seeds_and_lags(kind)
+def family_den(kind: SequenceKind) -> List[int]:
+    """Q = 1 - sum x^lag, the denominator of the family's series."""
+    lags = FAMILY_TABLE[kind.family].lags(kind.r)
     q = [1] + [0] * max(lags)
     for lag in lags:
         q[lag] -= 1
-    return CFinite.from_head(q, seeds)
+    return q
+
+
+def family_series(kind: SequenceKind) -> CFinite:
+    """The family's terms as one series: seeds * Q mod x^L over Q = family_den."""
+    return CFinite.from_head(family_den(kind), FAMILY_TABLE[kind.family].seeds(kind.r))
 
 
 def _terms_through(kind: SequenceKind, n: int) -> List[int]:

@@ -104,33 +104,44 @@ class CFinite:
     def multisect(self, s: int) -> "CFinite":
         """The series of coefficients 0, s, 2s, ... of this one, for s >= 1.
 
-        Its denominator R has R(x^s) = the product of den(w x) over the s-th
-        roots of unity w, found from Newton power sums: the power sums of R
-        are those of den at multiples of s.  Its numerator has degree at
-        most (deg num + (s - 1) deg den) / s, so that many terms and one
+        Its denominator is multisected_den(den, s).  Its numerator has degree
+        at most (deg num + (s - 1) deg den) / s, so that many terms and one
         more fix it by from_head.
         """
         if s == 1:
             return self
-        q = self.den
-        order = len(q) - 1
-        # p_k = -k q_k - sum_{i<k} p_i q_(k-i) gives the power sums of den
-        sums = [0]
-        for k in range(1, s * order + 1):
-            acc = -k * q[k] if k <= order else 0
-            for i in range(max(1, k - order), k):
-                acc -= sums[i] * q[k - i]
-            sums.append(acc)
-        # and k R_k = -sum_{i=1..k} p_(s i) R_(k-i) recovers R
-        den = [1]
-        for k in range(1, order + 1):
-            den.append(-sum(sums[s * i] * den[k - i] for i in range(1, k + 1)) // k)
-        terms = (len(self.num) - 1 + (s - 1) * order) // s + 1
+        den = multisected_den(self.den, s)
+        terms = (len(self.num) - 1 + (s - 1) * (len(self.den) - 1)) // s + 1
         return CFinite.from_head(den, self.coefficients(0, s * (terms - 1))[::s])
 
     def coefficients(self, lo: int, hi: int) -> List[int]:
         """c_lo .. c_hi, 0 <= lo."""
         return rational_coefficients(self.num, self.den, hi)[lo:]
+
+
+def multisected_den(den: Sequence[int], s: int) -> List[int]:
+    """R with R(x^s) = the product of den(w x) over the s-th roots of unity w, den(0) = 1.
+
+    The coefficients 0, s, 2s, ... of any series over den obey R's
+    recurrence.  R is found from Newton power sums: the power sums of R are
+    those of den at multiples of s.
+    """
+    q = list(den)
+    if s == 1:
+        return q
+    order = len(q) - 1
+    # p_k = -k q_k - sum_{i<k} p_i q_(k-i) gives the power sums of den
+    sums = [0]
+    for k in range(1, s * order + 1):
+        acc = -k * q[k] if k <= order else 0
+        for i in range(max(1, k - order), k):
+            acc -= sums[i] * q[k - i]
+        sums.append(acc)
+    # and k R_k = -sum_{i=1..k} p_(s i) R_(k-i) recovers R
+    out = [1]
+    for k in range(1, order + 1):
+        out.append(-sum(sums[s * i] * out[k - i] for i in range(1, k + 1)) // k)
+    return out
 
 
 def rational_coefficients(num: Sequence[int], den: Sequence[int], n: int) -> List[int]:

@@ -12,14 +12,17 @@ from tridet import (
     HessenbergSpec,
     SequenceKind,
     det_dense,
+    det_gf,
     det_prefixes,
     det_recurrence,
     det_sequence,
     make_entries,
+    registry,
     seq_term,
 )
-from tridet import sequences
-from tridet.determinant import _CHUNK, DENSE_CAP, annihilator
+from tridet import identities, sequences
+from tridet.determinant import _CHUNK, DENSE_CAP, _check_entries, annihilator
+from tridet.series import rational_coefficients
 
 # every family at every in-domain order up to 10
 KINDS = [SequenceKind(f) for f in sequences.FIXED_FAMILIES] + [
@@ -166,3 +169,54 @@ def test_make_entries_match_the_terms_past_several_trims():
     for kind in KINDS:
         spec = make_entries(EntryRule(kind, 3, 4, 1), 500)
         assert spec.entries == tuple(sequences.seq_range(kind, 3, 3 + 499 * 4)[::4])
+
+
+def _registry_rules():
+    """(case id, r, rule) of every rule a sweep reads a left side from, in-domain r <= 13."""
+    for case in registry():
+        orders = [r for r in range(2, 14) if case.accepts_r(r)] if case.parameterized else [None]
+        for r in orders:
+            if case.rule is not None:
+                yield case.id, r, case.rule(r)
+            elif case.id == "I-34":
+                for rule, _, _ in identities._i34_clauses(r):
+                    yield case.id, r, rule
+
+
+def test_registry_rules_obey_their_annihilators():
+    # sweeps read each left side off the first L entries and check none past
+    # them; this is the check they leave out, made once here
+    seen = set()
+    for cid, r, rule in _registry_rules():
+        _check_entries(make_entries(rule, 300), annihilator(rule))
+        seen.add(cid)
+    assert seen == {case.id for case in registry()} - {"I-36"}
+
+
+@st.composite
+def spread_rules(draw):
+    """Rules with a0 not +-1, stride >= 3 and start > 0, away from the registry's."""
+    kind = draw(st.sampled_from(KINDS))
+    start = draw(st.integers(1, (kind.r or 3) + 3))
+    stride = draw(st.integers(3, 5))
+    a0 = draw(st.sampled_from((2, -2, 3, -3)))
+    return EntryRule(kind, start, stride, a0)
+
+
+@given(spread_rules(), st.integers(1, 80))
+@settings(max_examples=120, deadline=None)
+def test_entry_free_series_matches_the_entry_routes(rule, n):
+    spec = make_entries(rule, n)
+    assert rational_coefficients(*det_gf(rule), n) == det_sequence(spec) == det_prefixes(spec)
+
+
+def test_spec_routes_read_their_own_first_entries():
+    # entries that obey the rule's recurrence from another head pass the
+    # check; their determinants are their own, not the rule's
+    rule = EntryRule(SequenceKind("gen-tribonacci", 5), 1, 2, 3)
+    spec = make_entries(rule, 40)
+    doubled = dataclasses.replace(spec, entries=tuple(2 * a for a in spec.entries))
+    expected = det_prefixes(HessenbergSpec(doubled.a0, doubled.entries))
+    assert det_sequence(doubled) == expected
+    assert det_recurrence(doubled) == expected[-1]
+    assert rational_coefficients(*det_gf(rule), 40) == det_prefixes(spec) != expected

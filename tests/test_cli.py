@@ -13,8 +13,8 @@ import pytest
 
 import tridet.cli as cli_module
 import tridet.identities as identities_module
-from tridet import IdentityCase
-from tridet.cli import NMAX_CEILING, run
+from tridet import IdentityCase, check_all, registry
+from tridet.cli import _SEQ_BATCH, NMAX_CEILING, run
 
 
 def test_seq_plain_exact_bytes(capsys):
@@ -59,6 +59,16 @@ def test_seq_prints_terms_past_the_int_str_cap(capsys):
         sys.set_int_max_str_digits(cap)
     assert len(out) > cap
     assert out == expected
+
+
+def test_seq_output_spans_several_batches(capsys):
+    stop = 5 + 3 * _SEQ_BATCH
+    terms = _rolling_tribonacci(5, stop)
+    assert run(["seq", "tribonacci", "--from", "5", "--to", str(stop)]) == 0
+    assert capsys.readouterr().out == " ".join(map(str, terms)) + "\n"
+    assert run(["seq", "tribonacci", "--from", "5", "--to", str(stop), "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows == [["n", "value"]] + [[str(n), str(t)] for n, t in enumerate(terms, start=5)]
 
 
 def test_cap_still_applies_while_parsing(capsys):
@@ -286,6 +296,91 @@ def test_verify_exit_one_on_failures(capsys, monkeypatch):
     assert "checked=1 passed=0 failed=1" in capsys.readouterr().out
 
 
+def _streamless_verify(fmt, **selection):
+    """verify's stdout built whole from check_all, as it was before streaming."""
+    reports, summary = check_all(**selection)
+    counts = summary._asdict()
+    if fmt == "plain":
+        lines = [
+            "%s %s r=%s n=%d lhs=%d rhs=%d"
+            % ("PASS" if rep.passed else "FAIL", rep.id, "-" if rep.r is None else rep.r,
+               rep.n, rep.lhs, rep.rhs)
+            for rep in reports
+        ]
+        lines.append("checked=%(checked)d passed=%(passed)d failed=%(failed)d" % counts)
+        return "".join(line + "\n" for line in lines)
+    if fmt == "json":
+        records = [
+            {"id": rep.id, "r": rep.r, "n": rep.n, "lhs": str(rep.lhs), "rhs": str(rep.rhs),
+             "pass": rep.passed}
+            for rep in reports
+        ]
+        return json.dumps({"reports": records, "summary": counts}) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["id", "r", "n", "lhs", "rhs", "pass"])
+    for rep in reports:
+        writer.writerow([rep.id, "" if rep.r is None else rep.r, rep.n, str(rep.lhs), str(rep.rhs),
+                         "true" if rep.passed else "false"])
+    return out.getvalue()
+
+
+def _fails_mid_sweep(r, lo, hi):
+    # fails at n = 5 for r = 5 and at n = 7 for r = 7; passes otherwise
+    return [(n, n + (n == r)) for n in range(lo, hi + 1)]
+
+
+def _failing_registry():
+    common = dict(n_min=lambda r: 1, n_cap=lambda r: None, rule=None, rhs=None,
+                  evaluate=lambda r, n: (n, n), description="forged")
+    return [
+        IdentityCase(id="X-00", parameterized=False, accepts_r=lambda r: False,
+                     sweep=lambda r, lo, hi: [(n, n) for n in range(lo, hi + 1)], **common),
+        IdentityCase(id="X-01", parameterized=True, accepts_r=lambda r: r % 2 == 1,
+                     sweep=_fails_mid_sweep, **common),
+        IdentityCase(id="X-02", parameterized=True, accepts_r=lambda r: r >= 3,
+                     sweep=lambda r, lo, hi: [(1, -1)] * (hi - lo + 1), **common),
+    ]
+
+
+_FIXED_IDS = ",".join(case.id for case in registry() if not case.parameterized)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+@pytest.mark.parametrize(
+    "argv, selection, forged",
+    [
+        ([], {}, False),
+        (["--ids", _FIXED_IDS, "--nmax", "40"],
+         {"ids": _FIXED_IDS.split(","), "n_max": 40}, False),
+        (["--ids", "I-34,I-19b,I-22", "--r-set", "9,2,3,4", "--nmax", "30"],
+         {"ids": ["I-34", "I-19b", "I-22"], "r_set": (9, 2, 3, 4), "n_max": 30}, False),
+        (["--r-set", "3,4,5,6,7", "--nmax", "9"], {"r_set": (3, 4, 5, 6, 7), "n_max": 9}, True),
+        (["--r-set", "3,4,5,6,7", "--nmax", "9", "--fail-fast"],
+         {"r_set": (3, 4, 5, 6, 7), "n_max": 9, "fail_fast": True}, True),
+    ],
+    ids=["default", "fixed-ids", "mixed-orders", "forged", "forged-fail-fast"],
+)
+def test_streamed_verify_equals_the_whole_document(
+    argv, selection, forged, fmt, capsys, monkeypatch
+):
+    if forged:
+        monkeypatch.setattr(identities_module, "registry", _failing_registry)
+    expected = _streamless_verify(fmt, **selection)
+    code = run(["verify"] + argv + ["--format", fmt])
+    assert capsys.readouterr().out == expected
+    assert code == (1 if forged else 0)
+
+
+@pytest.mark.parametrize("ids", ["I-99", "I-01,I-99", "I-36,I-99"])
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_verify_unknown_id_exits_two_before_any_output(ids, fmt, capsys):
+    assert run(["verify", "--ids", ids, "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown identity ids: I-99\n"
+
+
 def test_verify_argument_errors(capsys):
     assert run(["verify", "--ids", " , "]) == 2
     assert run(["verify", "--r-set", "x"]) == 2
@@ -298,6 +393,8 @@ def test_verify_argument_errors(capsys):
     [
         ["verify", "--nmax", "0"],
         ["verify", "--ids", "I-20", "--r-set", "4"],  # I-20 wants odd orders
+        ["verify", "--ids", "I-20,I-21", "--r-set", "3", "--nmax", "0", "--format", "json"],
+        ["verify", "--ids", "I-36", "--nmax", "0", "--format", "csv"],
     ],
 )
 def test_verify_selecting_no_check_exits_two(argv, capsys):
@@ -313,7 +410,7 @@ def test_verify_nmax_above_the_ceiling_exits_two(monkeypatch, capsys):
     def no_sweep(*args, **kwargs):
         raise AssertionError("verify swept past the --nmax ceiling")
 
-    monkeypatch.setattr(cli_module, "check_all", no_sweep)
+    monkeypatch.setattr(cli_module, "check_sweeps", no_sweep)
     assert run(["verify", "--nmax", str(NMAX_CEILING + 1)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
