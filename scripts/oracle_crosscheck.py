@@ -3,12 +3,14 @@
 
 Eight blocks: determinant evaluators against each other on random specs,
 the size-4 polynomial expansion, tiling counts against sequence terms,
-the C-finite route against the expansion recurrence on random rules,
-series coefficients against determinant sequences, Bostan-Mori halving
-against the linear C-finite expansion on random rules at sizes past the
-check's first block, each operation of the C-finite series value
-against the same operation on plain term lists, and the entry-free
-determinant series of a rule against both entry routes.  One PASS/FAIL
+the C-finite route (the linear expansion of det_gf and the halving of
+det_recurrence) against the expansion recurrence on random rules, series
+coefficients against determinant sequences, Bostan-Mori halving against
+the linear expansion of det_gf on random rules at sizes past the
+stepping window's first chunk, each operation of the C-finite series
+value against the same operation on plain term lists, and the
+determinant series of a rule with a0 not +-1, stride >= 3 and start > 0
+against the expansion recurrence and the halving.  One PASS/FAIL
 line per block; exit 1 on any disagreement.
 """
 
@@ -26,7 +28,6 @@ from tridet import (
     det_gf,
     det_prefixes,
     det_recurrence,
-    det_sequence,
     det_trudi_compositions,
     det_trudi_partitions,
     expand_rational,
@@ -130,7 +131,8 @@ def cfinite_matches(rng: random.Random, trials: int) -> bool:
         rule = random_rule(rng)
         spec = make_entries(rule, rng.randint(1, 80))
         expected = det_prefixes(spec)
-        if det_sequence(spec) != expected or det_recurrence(spec) != expected[-1]:
+        dets = rational_coefficients(*det_gf(rule), spec.n)
+        if dets != expected or det_recurrence(spec) != expected[-1]:
             print("  disagreement on %r, n=%d" % (rule, spec.n))
             ok = False
     return ok
@@ -166,7 +168,7 @@ def halving_matches(rng: random.Random, trials: int) -> bool:
     for _ in range(trials):
         rule = random_rule(rng)
         spec = make_entries(rule, rng.randint(257, 1100))
-        if det_recurrence(spec) != det_sequence(spec)[-1]:
+        if det_recurrence(spec) != rational_coefficients(*det_gf(rule), spec.n)[-1]:
             print("  disagreement on %r, n=%d" % (rule, spec.n))
             ok = False
     return ok
@@ -215,7 +217,7 @@ def series_operations_match(rng: random.Random, trials: int) -> bool:
 
 
 def entry_free_matches(rng: random.Random, trials: int) -> bool:
-    """det_gf against det_sequence and det_prefixes with a0 not +-1, stride >= 3, start > 0."""
+    """det_gf against det_prefixes and det_recurrence with a0 not +-1, stride >= 3, start > 0."""
     ok = True
     for _ in range(trials):
         kind = rng.choice(RULE_KINDS)
@@ -227,7 +229,8 @@ def entry_free_matches(rng: random.Random, trials: int) -> bool:
         )
         spec = make_entries(rule, rng.randint(1, 80))
         expected = det_prefixes(spec)
-        if not rational_coefficients(*det_gf(rule), spec.n) == det_sequence(spec) == expected:
+        dets = rational_coefficients(*det_gf(rule), spec.n)
+        if dets != expected or det_recurrence(spec) != expected[-1]:
             print("  disagreement on %r, n=%d" % (rule, spec.n))
             ok = False
     return ok
@@ -269,7 +272,7 @@ def main() -> int:
         series_operations_match(rng, args.trials),
     )
     ok &= report(
-        "entry-free determinant series match both entry routes on %d random rules"
+        "entry-free determinant series match the expansion and the halving on %d random rules"
         % args.trials,
         entry_free_matches(rng, args.trials),
     )

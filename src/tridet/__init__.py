@@ -15,7 +15,6 @@ from .determinant import (
     det_gf,
     det_prefixes,
     det_recurrence,
-    det_sequence,
     det_trudi_compositions,
     det_trudi_partitions,
     make_entries,
@@ -62,7 +61,6 @@ __all__ = [
     "det_gf",
     "det_prefixes",
     "det_recurrence",
-    "det_sequence",
     "det_trudi_compositions",
     "det_trudi_partitions",
     "make_entries",

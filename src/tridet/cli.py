@@ -99,10 +99,12 @@ def _cmd_seq(args: argparse.Namespace, emit: Callable[..., None]) -> int:
         yield "\n"
 
     def doc():
-        yield json.dumps(
-            {"kind": args.kind, "r": args.r, "from": args.start, "to": args.stop,
-             "terms": [str(t) for t in terms]}
-        )
+        # the document as json.dumps writes it, one batch of terms at a time
+        yield '{"kind": %s, "r": %s, "from": %d, "to": %d, "terms": [' % (
+            json.dumps(args.kind), json.dumps(args.r), args.start, args.stop)
+        for i in starts:
+            yield (", " if i else "") + ", ".join('"%d"' % t for t in terms[i : i + _SEQ_BATCH])
+        yield "]}"
 
     def rows():
         for i in starts:

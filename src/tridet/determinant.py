@@ -4,21 +4,19 @@ The matrix is lower Hessenberg with constant diagonals: superdiagonal a0,
 first column a1..an, entry (i, j) = a_(i-j+1) for j <= i.  Independent
 evaluation routes cross-certify each other:
 
-- det_recurrence / det_sequence: for a spec built by make_entries, the
-  C-finite route.  The entries obey a linear recurrence with
-  characteristic polynomial Q, the family's series denominator
-  multisected at the rule's stride, so their series is the
-  series.CFinite P/Q with P read off the first L entries, and the
-  determinants are the coefficients of Q(-a0 x) / (Q(-a0 x) - x P(-a0 x))
-  (L = order of the recurrence).  Both check every entry against Q in
-  O(n*L) chunked steps.  det_recurrence then reads the one coefficient
-  det(M_n) by Bostan-Mori halving in O(L^2 log n) integer products;
-  det_sequence expands every coefficient in O(n*L) steps.  Each is
-  cross-checked against the other and against det_prefixes.
-- det_gf: the same num/den for an EntryRule, from Q and the rule's first
-  L entries alone; no later entry is made or checked, since the rule
-  generates them by Q's recurrence (the tests check that it does for
-  every registry rule).  The registry's sweeps expand it.
+- det_gf: the C-finite route for an EntryRule.  The rule's entries obey a
+  linear recurrence with characteristic polynomial Q, the family's series
+  denominator multisected at the rule's stride, so their series is the
+  series.CFinite P/Q with P read off the first L entries (L = deg Q), and
+  the determinants are the coefficients of Q(-a0 x) / (Q(-a0 x) - x P(-a0 x)).
+  No entry past a_L is made, since the rule generates them by Q's
+  recurrence (the tests check that it does for every registry rule).  The
+  registry's sweeps expand it term by term.
+- det_recurrence: det(M_n) alone.  For a spec built by make_entries, which
+  is the only code that sets a spec's rule (so such a spec holds exactly
+  its rule's entries), it reads [x^n] of det_gf(spec.rule) by Bostan-Mori
+  halving in O(L^2 log n) integer products; other specs go to
+  det_prefixes.
 - det_prefixes: first-row expansion in O(n^2), the oracle for the
   C-finite route and the route for specs without a rule.
 - det_trudi_partitions, det_trudi_compositions: combinatorial expansions
@@ -29,13 +27,12 @@ evaluation routes cross-certify each other:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import add, mul, sub
-from typing import Iterable, List, Optional, Sequence, Tuple
+from operator import mul
+from typing import List, Optional, Tuple
 
 from .combinatorics import compositions, multinomial, partitions
-from .sequences import SequenceKind, extend_terms, family_den, seeds_and_lags
-from .series import CFinite, multisected_den, rational_coefficients
+from .sequences import SequenceKind, family_den, terms_at
+from .series import CFinite, multisected_den
 
 # oracle caps, with one evaluation at the cap (tribonacci entries, Python 3.11, 2-vCPU Xeon)
 TRUDI_PARTITION_CAP = 45  # p(45) = 89134 partitions, 20 % more per n: 0.9 s
@@ -48,13 +45,15 @@ class HessenbergSpec:
     """Superdiagonal constant a0 plus the entry vector a1..an.
 
     n = 0 (empty entry vector) denotes the empty matrix, determinant 1.
-    rule is the EntryRule make_entries drew the entries from, if any; it
-    selects the C-finite route and takes no part in equality.
+    rule is the EntryRule the entries were drawn from.  Only make_entries
+    sets it; no constructor takes it and dataclasses.replace drops it, so a
+    spec with a rule holds exactly that rule's entries.  It selects the
+    C-finite route and takes no part in equality.
     """
 
     a0: int
     entries: Tuple[int, ...]
-    rule: Optional[EntryRule] = field(default=None, compare=False, repr=False)
+    rule: Optional[EntryRule] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.a0 == 0:
@@ -88,37 +87,13 @@ class EntryRule:
             raise ValueError("superdiagonal constant a0 must be nonzero")
 
 
-# make_entries steps the recurrence this many terms at a time between trims,
-# and the recurrence check of the C-finite route takes this many entries at a time
-_CHUNK = 256
-
-
 def make_entries(rule: EntryRule, n: int) -> HessenbergSpec:
-    """Materialize the first n entries of a rule as a HessenbergSpec.
-
-    Steps the family recurrence in a local window, trimmed to the last L
-    terms after each chunk, and keeps every stride-th term; the shared
-    sequence memo is not touched.
-    """
+    """The first n entries of a rule as a HessenbergSpec that carries the rule."""
     if n < 1:
         raise ValueError("entry vector needs n >= 1, got %d" % n)
-    seeds, lags = seeds_and_lags(rule.kind)
-    keep = max(lags)
-    start, stride = rule.start, rule.stride
-    top = start + (n - 1) * stride
-    terms = list(seeds)
-    base = 0  # family index of terms[0]
-    entries: List[int] = []
-    while True:
-        extend_terms(terms, lags, min(top + 1 - base - len(terms), _CHUNK))
-        index = start + len(entries) * stride
-        entries += terms[index - base : top + 1 - base : stride]
-        if len(entries) == n:
-            return HessenbergSpec(rule.a0, tuple(entries), rule)
-        # every later entry lies past the last term, so older terms can go
-        cut = len(terms) - keep
-        del terms[:cut]
-        base += cut
+    spec = HessenbergSpec(rule.a0, tuple(terms_at(rule.kind, rule.start, rule.stride, n)))
+    object.__setattr__(spec, "rule", rule)
+    return spec
 
 
 def det_prefixes(spec: HessenbergSpec) -> List[int]:
@@ -151,72 +126,22 @@ def annihilator(rule: EntryRule) -> List[int]:
     return multisected_den(family_den(rule.kind), rule.stride)
 
 
-def _check_entries(spec: HessenbergSpec, q: List[int]) -> None:
-    """Raise ValueError at the first entry a_(k+1), k >= L, with sum_j q_j a_(k+1-j) != 0.
+def det_gf(rule: EntryRule) -> Tuple[List[int], List[int]]:
+    """num, den with det(M_m) = [x^m] num/den for every m, for the matrices of a rule.
 
-    The residues are formed _CHUNK entries at a time: each nonzero q_j adds
-    its multiple of one shifted slice to the block through a lazy map, so
-    the Python-level work is per block and per q_j rather than per entry.
+    Built from the rule's annihilator Q and its first L = deg Q entries
+    only, so a sweep or a halving to any n makes no later entry.  The
+    denominator Q(-a0 x) - x P(-a0 x) has constant term 1.
     """
-    order = len(q) - 1
-    a, n = spec.entries, spec.n
-    lags = [(j, qj) for j, qj in enumerate(q) if j and qj]
-
-    def residues(lo: int, hi: int) -> Iterable[int]:
-        out: Iterable[int] = a[lo:hi]
-        for j, qj in lags:
-            shifted = a[lo - j : hi - j]
-            if qj == 1:
-                out = map(add, out, shifted)
-            elif qj == -1:
-                out = map(sub, out, shifted)
-            else:
-                out = map(add, out, map(mul, repeat(qj), shifted))
-        return out
-
-    for lo in range(order, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        if any(residues(lo, hi)):
-            k = lo + next(i for i, v in enumerate(residues(lo, hi)) if v)
-            raise ValueError(
-                "entries do not satisfy the recurrence of %r at entry %d" % (spec.rule, k + 1)
-            )
-
-
-def _gf(a0: int, q: List[int], head: Sequence[int]) -> Tuple[List[int], List[int]]:
-    """num, den with det(M_m) = [x^m] num/den, for entries whose series is P/Q.
-
-    q is Q and head the first L = deg Q entries, which fix P.  The
-    determinants are the coefficients of Q(-a0 x) / (Q(-a0 x) - x P(-a0 x)),
-    whose denominator has constant term 1.
-    """
+    q = annihilator(rule)
     # P = (entries * Q) mod x^L
-    scaled = CFinite.from_head(q, head).scale(-a0)
+    head = terms_at(rule.kind, rule.start, rule.stride, len(q) - 1)
+    scaled = CFinite.from_head(q, head).scale(-rule.a0)
     num = list(scaled.den)
     den = num[:]
     for j, pj in enumerate(scaled.num):
         den[j + 1] -= pj
     return num, den
-
-
-def det_gf(rule: EntryRule) -> Tuple[List[int], List[int]]:
-    """num, den with det(M_m) = [x^m] num/den for every m, for the matrices of a rule.
-
-    Built from the rule's annihilator and its first L entries only: no entry
-    past a_L is made, so a sweep to any n costs no entries.
-    """
-    q = annihilator(rule)
-    return _gf(rule.a0, q, make_entries(rule, len(q) - 1).entries)
-
-
-def _rational(spec: HessenbergSpec) -> Tuple[List[int], List[int]]:
-    """det_gf for a rule-built spec, read off its own entries after checking them.
-
-    The first L entries fix num/den; every later entry is checked against Q.
-    """
-    q = annihilator(spec.rule)
-    _check_entries(spec, q)
-    return _gf(spec.a0, q, spec.entries[: len(q) - 1])
 
 
 def _product_coeffs(f: List[int], g: List[int], parity: int) -> List[int]:
@@ -230,32 +155,18 @@ def _product_coeffs(f: List[int], g: List[int], parity: int) -> List[int]:
     return out
 
 
-def det_sequence(spec: HessenbergSpec) -> List[int]:
-    """[det(M_0), ..., det(M_n)]: C-finite for a make_entries spec, else det_prefixes.
-
-    The C-finite route checks the entries against the rule's recurrence and
-    expands num/den term by term in O(n*L) integer steps.  A rule-built spec
-    whose entries break the recurrence raises ValueError.
-    """
-    if spec.rule is None:
-        return det_prefixes(spec)
-    num, den = _rational(spec)
-    return rational_coefficients(num, den, spec.n)
-
-
 def det_recurrence(spec: HessenbergSpec) -> int:
-    """det(M_n): Bostan-Mori halving for a make_entries spec, else det_prefixes.
+    """det(M_n): Bostan-Mori halving on det_gf for a make_entries spec, else det_prefixes.
 
-    The C-finite route checks the entries against the rule's recurrence in
-    O(n*L), then reads [x^n] num/den in O(L^2 log n) integer products: each
-    step multiplies num and den by den(-x), keeps the even half of the
+    A spec with a rule holds exactly that rule's entries, so none is read:
+    [x^n] num/den comes in O(L^2 log n) integer products.  Each step
+    multiplies num and den by den(-x), keeps the even half of the
     denominator and the half of the numerator with the parity of n, and
     halves n.  The denominator keeps constant term 1, so nothing is divided.
-    A rule-built spec whose entries break the recurrence raises ValueError.
     """
     if spec.rule is None:
         return det_prefixes(spec)[spec.n]
-    num, den = _rational(spec)
+    num, den = det_gf(spec.rule)
     n = spec.n
     while n:
         twin = [c if i % 2 == 0 else -c for i, c in enumerate(den)]

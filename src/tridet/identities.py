@@ -27,7 +27,7 @@ from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tup
 
 from .combinatorics import binomial
 from .determinant import EntryRule, det_gf
-from .sequences import SequenceKind, family_series, seq_range, seq_term
+from .sequences import MAX_R, SequenceKind, family_series, seq_range, seq_term
 from .series import CFinite, gf_catalog, rational_coefficients
 
 DEFAULT_R_SET = (2, 3, 4, 5, 6, 7, 8)
@@ -615,8 +615,12 @@ def check_sweeps(
 
     Each item is the nonempty list of one sweep's reports in n order; with
     fail_fast, the sweep holding the first failure ends at it and nothing
-    follows.  Unknown ids raise ValueError when the first item is asked for.
+    follows.  Unknown ids and an r above MAX_R raise ValueError when the
+    first item is asked for.
     """
+    too_big = [r for r in r_set if r > MAX_R]
+    if too_big:
+        raise ValueError("r_set holds r = %d, above MAX_R = %d" % (max(too_big), MAX_R))
     cases = registry()
     if ids is not None:
         known = {c.id for c in cases}

@@ -4,18 +4,19 @@ FAMILY_TABLE is the one place each family is described: the orders r it
 accepts, its seed block and its recurrence lags.  Term n past the seeds is
 the sum of the terms n - lag; read as piece lengths, the same lags give the
 family's strip tilings (tilings.pieces_for), and as a polynomial they give
-the denominator of the family's series (family_series).  seq_term and
-seq_range step the recurrence forward from the seeds on every call; nothing
-is kept between calls.  Negative indices are rejected; closed-form
-cross-checks live alongside the recurrences so independent evaluations can
-be compared term by term.
+the denominator of the family's series (family_series).  terms_at is the
+one stepper behind seq_term, seq_range and determinant.make_entries: it
+runs forward from the seeds on every call in a trimmed window, so nothing
+is kept between calls and one deep term holds only the last few.  Negative
+indices are rejected; closed-form cross-checks live alongside the
+recurrences so independent evaluations can be compared term by term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .combinatorics import binomial
 from .series import CFinite
@@ -53,6 +54,12 @@ FAMILY_TABLE: Dict[str, Family] = {
     "q-sequence": Family(2, False, _one_first, lambda r: list(range(2, r + 1))),
 }
 
+# the largest order any family accepts.  Cost grows with r: in process,
+# verify --r-set 1000 takes 3.4 s and --r-set 4000 74 s, det --r 1000 -n 10
+# about 1 s (Python 3.11, shared 2-vCPU host); and r near 10**20 cannot even
+# allocate its seed block
+MAX_R = 1000
+
 FAMILIES = tuple(FAMILY_TABLE)
 FIXED_FAMILIES = tuple(f for f in FAMILIES if FAMILY_TABLE[f].min_r is None)
 PARAMETRIC_FAMILIES = tuple(f for f in FAMILIES if f not in FIXED_FAMILIES)
@@ -79,6 +86,8 @@ class SequenceKind:
                 "%s requires %sr >= %d, got %d"
                 % (self.family, "odd " if fam.odd_only else "", fam.min_r, r)
             )
+        elif r > MAX_R:
+            raise ValueError("%s requires r <= MAX_R = %d, got %d" % (self.family, MAX_R, r))
 
 
 def seeds_and_lags(kind: SequenceKind) -> Tuple[List[int], List[int]]:
@@ -88,16 +97,6 @@ def seeds_and_lags(kind: SequenceKind) -> Tuple[List[int], List[int]]:
     """
     fam = FAMILY_TABLE[kind.family]
     return fam.seeds(kind.r), fam.lags(kind.r)
-
-
-def extend_terms(terms: List[int], lags: Sequence[int], count: int) -> None:
-    """Append the next count terms to a list that ends with the latest max(lags) terms."""
-    back = [-lag for lag in lags]
-    # the lagged terms as a tuple; itemgetter returns one only for two or more
-    pick = itemgetter(*back) if len(back) > 1 else lambda window: (window[back[0]],)
-    append = terms.append
-    for _ in range(count):
-        append(sum(pick(terms)))
 
 
 def family_den(kind: SequenceKind) -> List[int]:
@@ -114,24 +113,51 @@ def family_series(kind: SequenceKind) -> CFinite:
     return CFinite.from_head(family_den(kind), FAMILY_TABLE[kind.family].seeds(kind.r))
 
 
-def _terms_through(kind: SequenceKind, n: int) -> List[int]:
+# terms_at steps the recurrence this many terms at a time between trims
+_CHUNK = 256
+
+
+def terms_at(kind: SequenceKind, start: int, stride: int, count: int) -> List[int]:
+    """Terms start, start + stride, ... of the family, count of them, in one forward pass.
+
+    The recurrence steps in a window that is trimmed to the last max(lags)
+    terms after every _CHUNK steps, so besides the terms it returns it holds
+    at most max(lags) + _CHUNK of them.
+    """
     terms, lags = seeds_and_lags(kind)
-    extend_terms(terms, lags, n + 1 - len(terms))
-    return terms
+    keep = max(lags)
+    back = [-lag for lag in lags]
+    # the lagged terms as a tuple; itemgetter returns one only for two or more
+    pick = itemgetter(*back) if len(back) > 1 else lambda window: (window[back[0]],)
+    append = terms.append
+    top = start + (count - 1) * stride
+    base = 0  # family index of terms[0]
+    out: List[int] = []
+    while True:
+        for _ in range(min(top + 1 - base - len(terms), _CHUNK)):
+            append(sum(pick(terms)))
+        index = start + len(out) * stride
+        out += terms[index - base : top + 1 - base : stride]
+        if len(out) == count:
+            return out
+        # every later term lies past the last one, so older terms can go
+        cut = len(terms) - keep
+        del terms[:cut]
+        base += cut
 
 
 def seq_term(kind: SequenceKind, n: int) -> int:
     """The n-th term of the family, n >= 0, by one forward pass from the seeds."""
     if n < 0:
         raise ValueError("sequence index must be nonnegative, got %d" % n)
-    return _terms_through(kind, n)[n]
+    return terms_at(kind, n, 1, 1)[0]
 
 
 def seq_range(kind: SequenceKind, start: int, stop: int) -> List[int]:
     """Terms start..stop inclusive, computed in one forward pass from the seeds."""
     if start < 0 or stop < start:
         raise ValueError("need 0 <= start <= stop, got %d..%d" % (start, stop))
-    return _terms_through(kind, stop)[start : stop + 1]
+    return terms_at(kind, start, 1, stop + 1 - start)
 
 
 def tribonacci_explicit(n: int) -> int:

@@ -1,7 +1,6 @@
 """The C-finite determinant route against the O(n^2) and dense oracles."""
 
 import dataclasses
-import re
 
 import pytest
 from hypothesis import given, settings
@@ -15,13 +14,13 @@ from tridet import (
     det_gf,
     det_prefixes,
     det_recurrence,
-    det_sequence,
     make_entries,
     registry,
     seq_term,
 )
 from tridet import identities, sequences
-from tridet.determinant import _CHUNK, DENSE_CAP, _check_entries, annihilator
+from tridet.determinant import DENSE_CAP, annihilator
+from tridet.sequences import _CHUNK
 from tridet.series import rational_coefficients
 
 # every family at every in-domain order up to 10
@@ -52,7 +51,7 @@ def rules(draw):
 @settings(max_examples=150, deadline=None)
 def test_cfinite_route_matches_the_oracles(rule, n):
     spec = make_entries(rule, n)
-    dets = det_sequence(spec)
+    dets = rational_coefficients(*det_gf(rule), n)
     assert dets == det_prefixes(spec)
     assert det_recurrence(spec) == dets[n]
     if n <= DENSE_CAP:
@@ -65,7 +64,7 @@ def test_sizes_below_the_recurrence_order(stride):
     assert len(annihilator(rule)) - 1 == 10
     for n in range(1, 12):
         spec = make_entries(rule, n)
-        assert det_sequence(spec) == det_prefixes(spec)
+        assert rational_coefficients(*det_gf(rule), n) == det_prefixes(spec)
         assert det_recurrence(spec) == det_dense(spec)
 
 
@@ -76,26 +75,42 @@ def test_strided_annihilator_worked_value():
 
 
 def test_altered_entries_are_refused():
-    spec = make_entries(EntryRule(SequenceKind("gen-tribonacci", 5), 1, 2, 1), 20)
-    entries = list(spec.entries)
-    entries[12] += 1
-    altered = dataclasses.replace(spec, entries=tuple(entries))
-    with pytest.raises(ValueError):
-        det_recurrence(altered)
-    with pytest.raises(ValueError):
-        det_sequence(altered)
-    # the same entries without the rule go to the expansion recurrence
-    plain = HessenbergSpec(altered.a0, altered.entries)
-    assert det_recurrence(plain) == det_prefixes(plain)[-1]
+    # altered entries are refused the rule: replace drops it, so they are
+    # read through their own expansion, never through the rule's series.
+    # Their determinants leave the rule's exactly at the first altered
+    # entry, since det(M_m) holds a_m with the coefficient (-a0)^(m-1)
+    rule = EntryRule(SequenceKind("gen-tribonacci", 5), 1, 2, 3)
+    spec = make_entries(rule, 20)
+    series = rational_coefficients(*det_gf(rule), spec.n)
+    for i in range(spec.n):
+        entries = list(spec.entries)
+        entries[i] += 1
+        altered = dataclasses.replace(spec, entries=tuple(entries))
+        assert altered.rule is None
+        dets = det_prefixes(altered)
+        assert det_recurrence(altered) == dets[-1]
+        assert dets[: i + 1] == series[: i + 1] and dets[i + 1] != series[i + 1]
 
 
-def _first_broken_entry(spec):
-    """The entry the per-window check named: a copy of the loop before chunking."""
-    q = annihilator(spec.rule)
+def test_only_make_entries_attaches_a_rule():
+    rule = EntryRule(SequenceKind("gen-tribonacci", 5), 1, 2, 1)
+    spec = make_entries(rule, 20)
+    assert spec.rule is rule
+    with pytest.raises(TypeError):
+        HessenbergSpec(spec.a0, spec.entries, rule)
+    with pytest.raises(TypeError):
+        HessenbergSpec(spec.a0, spec.entries, rule=rule)
+    with pytest.raises(ValueError):
+        dataclasses.replace(spec, rule=rule)
+    assert dataclasses.replace(spec).rule is None
+
+
+def _first_broken_entry(entries, q):
+    """The first entry a_(k+1), k >= L, with sum_j q_j a_(k+1-j) != 0, or None."""
     order = len(q) - 1
-    a, back = spec.entries, q[::-1]
-    for k in range(order, spec.n):
-        if sum(x * y for x, y in zip(back, a[k - order : k + 1])):
+    back = q[::-1]
+    for k in range(order, len(entries)):
+        if sum(x * y for x, y in zip(back, entries[k - order : k + 1])):
             return k + 1
     return None
 
@@ -103,29 +118,30 @@ def _first_broken_entry(spec):
 @pytest.mark.parametrize("stride", [1, 3])
 @pytest.mark.parametrize("positions", [(12,), (255,), (256,), (257,), (600,), (600, 257)])
 def test_altered_entries_are_refused_at_the_first_broken_entry(stride, positions):
-    spec = make_entries(EntryRule(SequenceKind("gen-tribonacci", 5), 1, stride, 2), 700)
-    order = len(annihilator(spec.rule)) - 1
-    # the named positions, alone and with the first entry, the first checked
-    # entry or an edge of the check's first two blocks
+    # an altered spec is refused the rule, and the residue check that stands
+    # in for the removed entry check names its first broken entry
+    rule = EntryRule(SequenceKind("gen-tribonacci", 5), 1, stride, 2)
+    spec = make_entries(rule, 700)
+    q = annihilator(rule)
+    order = len(q) - 1
+    assert _first_broken_entry(spec.entries, q) is None
+    # the named positions, alone and with the first entry, the first entry
+    # the recurrence reaches, or the entries _CHUNK - 1 and _CHUNK past it
     for extra in ((), (0,), (order,), (order + _CHUNK - 1,), (order + _CHUNK,)):
         entries = list(spec.entries)
         for i in positions + extra:
             entries[i] -= 7
         altered = dataclasses.replace(spec, entries=tuple(entries))
-        expected = _first_broken_entry(altered)
+        assert altered.rule is None
         # an entry before a_(L+1) first shows in the window that ends at a_(L+1)
-        assert expected == max(min(positions + extra), order) + 1
-        message = "entries do not satisfy the recurrence of %r at entry %d" % (spec.rule, expected)
-        for route in (det_recurrence, det_sequence):
-            with pytest.raises(ValueError, match=re.escape(message) + "$"):
-                route(altered)
+        assert _first_broken_entry(altered.entries, q) == max(min(positions + extra), order) + 1
 
 
 @given(rules(), st.integers(1, 1100))
 @settings(max_examples=80, deadline=None)
 def test_halving_matches_the_linear_expansion_deep(rule, n):
     spec = make_entries(rule, n)
-    dets = det_sequence(spec)
+    dets = rational_coefficients(*det_gf(rule), n)
     assert det_recurrence(spec) == dets[n]
     if n <= 120:
         assert dets == det_prefixes(spec)
@@ -134,10 +150,11 @@ def test_halving_matches_the_linear_expansion_deep(rule, n):
 @given(rules())
 @settings(max_examples=40, deadline=None)
 def test_rule_carrying_spec_with_no_entries(rule):
+    # cut to no entries, a rule-carrying spec drops its rule: the empty matrix
     empty = dataclasses.replace(make_entries(rule, 1), entries=())
-    assert empty.rule == rule
+    assert empty.rule is None
     assert det_recurrence(empty) == 1
-    assert det_sequence(empty) == [1]
+    assert det_prefixes(empty) == [1]
 
 
 @given(
@@ -148,7 +165,6 @@ def test_rule_carrying_spec_with_no_entries(rule):
 def test_rule_less_spec_uses_det_prefixes(a0, entries):
     spec = HessenbergSpec(a0, tuple(entries))
     assert spec.rule is None
-    assert det_sequence(spec) == det_prefixes(spec)
     assert det_recurrence(spec) == det_prefixes(spec)[-1]
 
 
@@ -184,11 +200,11 @@ def _registry_rules():
 
 
 def test_registry_rules_obey_their_annihilators():
-    # sweeps read each left side off the first L entries and check none past
-    # them; this is the check they leave out, made once here
+    # det_gf reads each left side off the first L entries and checks none
+    # past them; this is the check it leaves out, made once here
     seen = set()
     for cid, r, rule in _registry_rules():
-        _check_entries(make_entries(rule, 300), annihilator(rule))
+        assert _first_broken_entry(make_entries(rule, 300).entries, annihilator(rule)) is None
         seen.add(cid)
     assert seen == {case.id for case in registry()} - {"I-36"}
 
@@ -207,16 +223,18 @@ def spread_rules(draw):
 @settings(max_examples=120, deadline=None)
 def test_entry_free_series_matches_the_entry_routes(rule, n):
     spec = make_entries(rule, n)
-    assert rational_coefficients(*det_gf(rule), n) == det_sequence(spec) == det_prefixes(spec)
+    dets = det_prefixes(spec)
+    assert rational_coefficients(*det_gf(rule), n) == dets
+    assert det_recurrence(spec) == dets[n]
 
 
 def test_spec_routes_read_their_own_first_entries():
-    # entries that obey the rule's recurrence from another head pass the
-    # check; their determinants are their own, not the rule's
+    # entries that obey the rule's recurrence from another head lose the
+    # rule; their determinants are their own, not the rule's
     rule = EntryRule(SequenceKind("gen-tribonacci", 5), 1, 2, 3)
     spec = make_entries(rule, 40)
     doubled = dataclasses.replace(spec, entries=tuple(2 * a for a in spec.entries))
-    expected = det_prefixes(HessenbergSpec(doubled.a0, doubled.entries))
-    assert det_sequence(doubled) == expected
+    assert doubled.rule is None
+    expected = det_prefixes(doubled)
     assert det_recurrence(doubled) == expected[-1]
     assert rational_coefficients(*det_gf(rule), 40) == det_prefixes(spec) != expected

@@ -15,6 +15,7 @@ import tridet.cli as cli_module
 import tridet.identities as identities_module
 from tridet import IdentityCase, check_all, registry
 from tridet.cli import _SEQ_BATCH, NMAX_CEILING, run
+from tridet.sequences import MAX_R
 
 
 def test_seq_plain_exact_bytes(capsys):
@@ -69,6 +70,10 @@ def test_seq_output_spans_several_batches(capsys):
     assert run(["seq", "tribonacci", "--from", "5", "--to", str(stop), "--format", "csv"]) == 0
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
     assert rows == [["n", "value"]] + [[str(n), str(t)] for n, t in enumerate(terms, start=5)]
+    # the streamed document is byte for byte the one json.dumps writes whole
+    assert run(["seq", "tribonacci", "--from", "5", "--to", str(stop), "--format", "json"]) == 0
+    doc = {"kind": "tribonacci", "r": None, "from": 5, "to": stop, "terms": list(map(str, terms))}
+    assert capsys.readouterr().out == json.dumps(doc) + "\n"
 
 
 def test_cap_still_applies_while_parsing(capsys):
@@ -168,12 +173,40 @@ HUGE = str(10**20)
     ],
 )
 def test_oversized_values_exit_two_with_one_line(argv, capsys):
-    # each fails with OverflowError before anything is allocated
+    # each fails with ValueError or OverflowError before anything is allocated
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--r-set", "3," + HUGE],
+        ["verify", "--r-set", "3,%d" % (MAX_R + 1), "--format", "json"],
+        ["verify", "--ids", "I-01", "--r-set", str(MAX_R + 1), "--format", "csv"],
+        ["seq", "k-step-fibonacci", "--r", str(MAX_R + 1), "--from", "0", "--to", "1"],
+        ["det", "--a0", "1", "--kind", "gen-tribonacci", "--r", HUGE, "--start", "0",
+         "--stride", "1", "-n", "3"],
+        ["det", "--a0", "1", "--kind", "gen-padovan", "--r", str(MAX_R + 1), "--start", "0",
+         "--stride", "2", "-n", "3", "--format", "json"],
+    ],
+)
+def test_r_above_max_r_exits_two_before_any_output(argv, capsys):
+    # verify refuses before its fixed cases run, so nothing reaches stdout
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "MAX_R = %d" % MAX_R in lines[0]
+
+
+def test_r_at_max_r_runs(capsys):
+    assert run(["seq", "gen-tribonacci", "--r", str(MAX_R), "--from", str(MAX_R - 2),
+                "--to", str(MAX_R + 1)]) == 0
+    assert capsys.readouterr().out == "0 1 1 2\n"
 
 
 def test_det_single_method(capsys):

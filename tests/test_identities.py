@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tridet.identities as identities_module
+from tridet.sequences import MAX_R
 from tridet import (
     EntryRule,
     IdentityCase,
@@ -14,6 +15,7 @@ from tridet import (
     binomial,
     check_all,
     check_identity,
+    check_sweeps,
     expand_rational,
     gf_catalog,
     registry,
@@ -530,3 +532,12 @@ def test_domain_edges_agree_with_a_longer_sweep():
                 ("I-23", 3), ("I-23", 4), ("I-25", 7), ("I-26", 5), ("I-32", 3),
                 ("I-33", 2), ("I-34", 2)}
     assert smallest <= covered
+
+
+def test_check_sweeps_refuses_r_above_max_r_at_its_first_item():
+    # refused before any sweep, fixed cases included, and only when asked
+    for r_set in ((3, MAX_R + 1), (10**20,)):
+        sweeps = check_sweeps(r_set=r_set)
+        with pytest.raises(ValueError, match="above MAX_R = %d$" % MAX_R):
+            next(sweeps)
+    assert next(check_sweeps(r_set=(MAX_R,), ids=["I-33"]))[0].r == MAX_R

@@ -1,5 +1,8 @@
 """Sequence families: frozen values, recurrences, closed forms, validation."""
 
+import sys
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +16,7 @@ from tridet import (
     square_rmino_closed,
     tribonacci_explicit,
 )
-from tridet.sequences import FAMILIES, FAMILY_TABLE, seeds_and_lags
+from tridet.sequences import _CHUNK, FAMILIES, FAMILY_TABLE, MAX_R, seeds_and_lags, terms_at
 
 # hand-unrolled from the defining recurrences
 FROZEN = {
@@ -204,3 +207,46 @@ def test_family_table_invariants(family, r):
     if odd_only:
         with pytest.raises(ValueError, match="requires odd r"):
             SequenceKind(family, r + 1)
+
+
+@pytest.mark.parametrize("family", PARAMETRIC_FAMILIES)
+def test_orders_above_max_r_are_refused(family):
+    fam = FAMILY_TABLE[family]
+    largest = max(r for r in (MAX_R - 1, MAX_R) if not (fam.odd_only and r % 2 == 0))
+    refused = min(r for r in (MAX_R + 1, MAX_R + 2) if not (fam.odd_only and r % 2 == 0))
+    assert SequenceKind(family, largest).r == largest
+    for r in (refused, 10**20 + 1):
+        with pytest.raises(ValueError, match="requires r <= MAX_R = %d, got %d$" % (MAX_R, r)):
+            SequenceKind(family, r)
+
+
+@pytest.mark.parametrize("family,r", IN_DOMAIN)
+def test_windowed_terms_match_one_plain_pass(family, r):
+    # terms_at trims its window every _CHUNK steps; across several trims, at
+    # several starts and strides, it gives the terms of one untrimmed pass
+    kind = SequenceKind(family, r)
+    terms, lags = seeds_and_lags(kind)
+    while len(terms) < 4 * _CHUNK:
+        terms.append(sum(terms[-lag] for lag in lags))
+    for start, stride in ((0, 1), (5, 1), (3, 2), (1, 7), (2 * _CHUNK, 1), (_CHUNK - 1, _CHUNK)):
+        count = (len(terms) - start + stride - 1) // stride
+        assert terms_at(kind, start, stride, count) == terms[start::stride]
+    assert seq_term(kind, len(terms) - 1) == terms[-1]
+    assert seq_range(kind, _CHUNK - 2, 3 * _CHUNK + 1) == terms[_CHUNK - 2 : 3 * _CHUNK + 2]
+
+
+def test_seq_term_holds_a_window_not_every_term():
+    n = 50000
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    tracemalloc.start()
+    try:
+        value = seq_term(SequenceKind("fibonacci"), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == a
+    # the window holds at most max(lags) + _CHUNK = 258 terms, none larger
+    # than the result; every term up to n would take about n / 2 = 25000 times it
+    assert peak < 2 * (2 + _CHUNK) * sys.getsizeof(value)
