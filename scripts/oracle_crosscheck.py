@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Randomized cross-validation of the independent evaluation routes.
 
-Eight blocks: determinant evaluators against each other on random specs,
+Nine blocks: determinant evaluators against each other on random specs,
 the size-4 polynomial expansion, tiling counts against sequence terms,
 the C-finite route (the linear expansion of det_gf and the halving of
 det_recurrence) against the expansion recurrence on random rules, series
@@ -10,8 +10,11 @@ the linear expansion of det_gf on random rules at sizes past the
 stepping window's first chunk, each operation of the C-finite series
 value against the same operation on plain term lists, and the
 determinant series of a rule with a0 not +-1, stride >= 3 and start > 0
-against the expansion recurrence and the halving.  One PASS/FAIL
-line per block; exit 1 on any disagreement.
+against the expansion recurrence and the halving, and the declared series
+of every registry clause against the O(n^2) expansion recurrence.  The
+last block draws nothing, so the first eight see the same random stream
+whether it runs or not.  One PASS/FAIL line per block; exit 1 on any
+disagreement.
 """
 
 import argparse
@@ -34,6 +37,7 @@ from tridet import (
     gf_catalog,
     make_entries,
     pieces_for,
+    registry,
     seq_term,
 )
 from tridet.series import rational_coefficients
@@ -236,6 +240,33 @@ def entry_free_matches(rng: random.Random, trials: int) -> bool:
     return ok
 
 
+CLAUSE_R_MAX = 13
+CLAUSE_N_MAX = 60
+
+
+def clauses_match() -> bool:
+    """Each registry clause's series against det_prefixes at in-domain r <= 13, n <= 60."""
+    ok = True
+    for case in registry():
+        if case.clauses is None:
+            continue
+        orders = [None]
+        if case.parameterized:
+            orders = [r for r in range(2, CLAUSE_R_MAX + 1) if case.accepts_r(r)]
+        for r in orders:
+            cap = case.n_cap(r)
+            top = CLAUSE_N_MAX if cap is None else min(CLAUSE_N_MAX, cap)
+            for clause in case.clauses(r):
+                dets = det_prefixes(make_entries(clause.rule, top))
+                for n, value in enumerate(clause.gf.coefficients(clause.first, top), clause.first):
+                    if value != dets[n]:
+                        print("  %s r=%r: clause from n=%d differs at n=%d"
+                              % (case.id, r, clause.first, n))
+                        ok = False
+                        break
+    return ok
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=20260822)
@@ -275,6 +306,11 @@ def main() -> int:
         "entry-free determinant series match the expansion and the halving on %d random rules"
         % args.trials,
         entry_free_matches(rng, args.trials),
+    )
+    ok &= report(
+        "registry clauses match the O(n^2) determinant oracle for r <= %d, n <= %d"
+        % (CLAUSE_R_MAX, CLAUSE_N_MAX),
+        clauses_match(),
     )
     return 0 if ok else 1
 

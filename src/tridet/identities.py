@@ -7,22 +7,26 @@ from a left side's series: a family's series shifted, a tiling sum's
 1 / (1 - s x - w x^k), a catalog entry, or a closed, floor or periodic
 form given by its denominator and its first printed values (_printed).
 The comment next to each case is the derivation from the printed formula
-to the declared series.  Every case is evaluated one way, by its sweep:
-the (lhs, rhs) pairs for n = lo..hi at one r, from one expansion of the
-rule's determinant series (determinant.det_gf, built from the first L
-entries; no later entry is made) and one expansion of the right side,
-O(n) terms per (case, r).  evaluate, rule and rhs are single-point views
-of the same case.  check_sweeps yields the reports one (case, r) sweep at
-a time, so a caller can write each sweep and drop it; check_all collects
-them.  A report passes when the two integers are equal; failures are
-data, never exceptions.  Checks outside a case's stated (r, n) domain are
-refused rather than silently passed.
+to the declared series.  Each case but I-36 is a list of clauses at r
+(Clause: an entry rule, its declared series and the first n it covers);
+most have one, I-34 has two.  Every case is evaluated one way, by its
+sweep: the (lhs, rhs) pairs for n = lo..hi at one r, built by _sweep
+from one expansion of each clause rule's determinant series
+(determinant.det_gf, built from the first L entries; no later entry is
+made) and one expansion of its right side, O(n) terms per (case, r,
+clause).  evaluate, and for one-clause cases rule and rhs, are
+single-point views of the same case.  check_sweeps yields the reports one
+(case, r) sweep at a time, so a caller can write each sweep and drop it;
+check_all collects them.  A report passes when the two integers are
+equal; failures are data, never exceptions.  Checks outside a case's
+stated (r, n) domain are refused rather than silently passed.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .combinatorics import binomial
@@ -42,16 +46,32 @@ SweepFn = Callable[[Optional[int], int, int], List[Tuple[int, int]]]
 SeriesFn = Callable[[Optional[int]], CFinite]
 
 
+class Clause(NamedTuple):
+    """det(M_n) over rule equals coefficient n of gf for every n >= first.
+
+    The case's n_cap, where it has one, still bounds n (I-19b).
+    """
+
+    rule: EntryRule
+    gf: CFinite
+    first: int
+
+
+ClausesFn = Callable[[Optional[int]], List[Clause]]
+
+
 @dataclass(frozen=True)
 class IdentityCase:
     """One checkable identity over a stated (r, n) domain.
 
     Fixed cases (parameterized False) run once with r = None; the rest run
-    per accepted r.  sweep(r, lo, hi) is the one evaluation path: the
-    (lhs, rhs) pairs for n = lo..hi.  The rest are single-point views:
-    evaluate(r, n) is sweep(r, n, n)[0], and rule/rhs, present for
-    determinant-vs-right-side cases, give the entry rule at r and the right
-    side at one n.
+    per accepted r.  clauses(r) is the identity as data, the list of its
+    clauses at r; it is None only for I-36, whose three points have no entry
+    rule.  sweep(r, lo, hi) is the one evaluation path: the (lhs, rhs) pairs
+    for n = lo..hi, read from the clauses where there are any.  The rest
+    are single-point views: evaluate(r, n) is sweep(r, n, n)[0], and
+    rule/rhs, present for one-clause cases, give the entry rule at r and
+    the right side at one n.
     """
 
     id: str
@@ -62,6 +82,7 @@ class IdentityCase:
     n_cap: Callable[[Optional[int]], Optional[int]]
     sweep: SweepFn
     evaluate: PairFn
+    clauses: Optional[ClausesFn] = None
     rule: Optional[Callable[[Optional[int]], EntryRule]] = None
     rhs: Optional[RhsFn] = None
 
@@ -125,9 +146,23 @@ def _printed(den: Sequence[int], formula: Callable[[int], int], terms: int) -> C
     return CFinite.from_head(den, [formula(n) for n in range(terms)])
 
 
-def _pairs(rule: EntryRule, gf: CFinite, lo: int, hi: int) -> List[Tuple[int, int]]:
-    """(lhs, rhs) for n = lo..hi from one expansion of det_gf(rule) and one of gf."""
-    return list(zip(rational_coefficients(*det_gf(rule), hi)[lo:], gf.coefficients(lo, hi)))
+def _sweep(clauses: ClausesFn, r: Optional[int], lo: int, hi: int) -> List[Tuple[int, int]]:
+    """(lhs, rhs) for n = lo..hi, one expansion of det_gf(rule) and one of gf per clause.
+
+    Each n reports its first failing clause that covers it (first <= n),
+    else its first covering clause.
+    """
+    swept = [
+        (first, list(zip(rational_coefficients(*det_gf(rule), hi)[lo:], gf.coefficients(lo, hi))))
+        for rule, gf, first in clauses(r)
+    ]
+    if len(swept) == 1:
+        return swept[0][1]
+    out = []
+    for i, n in enumerate(range(lo, hi + 1)):
+        covering = [pairs[i] for first, pairs in swept if first <= n]
+        out.append(next((p for p in covering if p[0] != p[1]), covering[0]))
+    return out
 
 
 def _case(
@@ -136,23 +171,23 @@ def _case(
     *,
     rule: Optional[Callable[[Optional[int]], EntryRule]] = None,
     gf: Optional[SeriesFn] = None,
+    clauses: Optional[ClausesFn] = None,
     sweep: Optional[SweepFn] = None,
     r_ok: Optional[Callable[[int], bool]] = None,
     n_min=1,
     n_cap=None,
 ) -> IdentityCase:
-    rhs: Optional[RhsFn] = None
-    if sweep is None:
-        assert rule is not None and gf is not None
-
-        def sweep(r: Optional[int], lo: int, hi: int) -> List[Tuple[int, int]]:
-            return _pairs(rule(r), gf(r), lo, hi)
-
-        def rhs(r: Optional[int], n: int) -> int:
-            return gf(r).coefficients(n, n)[0]
-
+    """A case from one clause (rule, gf, n_min), from clauses, or from a hand-written sweep."""
     n_min_fn = n_min if callable(n_min) else (lambda r, _v=n_min: _v)
     n_cap_fn = n_cap if callable(n_cap) else (lambda r, _v=n_cap: _v)
+    rhs: Optional[RhsFn] = None
+    if rule is not None:
+        assert gf is not None
+        clauses = lambda r: [Clause(rule(r), gf(r), n_min_fn(r))]
+        rhs = lambda r, n: gf(r).coefficients(n, n)[0]
+    if clauses is not None:
+        sweep = partial(_sweep, clauses)
+    assert sweep is not None
     return IdentityCase(
         id=id,
         description=description,
@@ -162,6 +197,7 @@ def _case(
         n_cap=n_cap_fn,
         sweep=sweep,
         evaluate=lambda r, n: sweep(r, n, n)[0],
+        clauses=clauses,
         rule=rule,
         rhs=rhs,
     )
@@ -233,32 +269,19 @@ def _gf_i25(r: int) -> CFinite:
     return CFinite.from_head([1] + [0] * (m - 1) + [_neg1(m)], [1, 2, 1] + [0] * (m - 3))
 
 
-def _i34_clauses(r: int) -> List[Tuple[EntryRule, CFinite, int]]:
-    """(entry rule, right side, first n) of each clause of I-34 at r."""
+def _i34_clauses(r: Optional[int]) -> List[Clause]:
+    """The two clauses of I-34 at r, each with its own entry rule."""
+    assert r is not None
     ksf = SequenceKind("k-step-fibonacci", r)
     # the (r-1)-step count; at r = 2 the one-step count, one all-squares
     # tiling of every length
     shorter = _fam("k-step-fibonacci", r - 1) if r > 2 else CFinite((1,), (1, -1))
     return [
         # signed (r-1)-step value at n - 2
-        (EntryRule(ksf, 0, 1, 1), _twist(shorter.shift(2)), r - 1),
+        Clause(EntryRule(ksf, 0, 1, 1), _twist(shorter.shift(2)), r - 1),
         # signed spaced-piece count at n + r - 1
-        (EntryRule(ksf, r - 1, 1, 1), _twist(_fam("q-sequence", r).shift(1 - r)), 1),
+        Clause(EntryRule(ksf, r - 1, 1, 1), _twist(_fam("q-sequence", r).shift(1 - r)), 1),
     ]
-
-
-def _sweep_i34(r: Optional[int], lo: int, hi: int) -> List[Tuple[int, int]]:
-    """Both clauses for n = lo..hi, one _pairs per clause.
-
-    Each n reports its first failing clause, else its first clause.
-    """
-    assert r is not None
-    clauses = [(first, _pairs(rule, gf, lo, hi)) for rule, gf, first in _i34_clauses(r)]
-    out = []
-    for i, n in enumerate(range(lo, hi + 1)):
-        pairs = [swept[i] for first, swept in clauses if n >= first]
-        out.append(next((p for p in pairs if p[0] != p[1]), pairs[0]))
-    return out
 
 
 def _sweep_i36(r: Optional[int], lo: int, hi: int) -> List[Tuple[int, int]]:
@@ -569,7 +592,7 @@ def registry() -> List[IdentityCase]:
         _case(
             "I-34",
             "r-step Fibonacci entries: signed (r-1)-step value and signed spaced-piece count, two clauses",
-            sweep=_sweep_i34,
+            clauses=_i34_clauses,
             r_ok=lambda r: r >= 2,
         ),
         # I-35 restates I-04: the same rule and right side

@@ -19,7 +19,7 @@ from operator import itemgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .combinatorics import binomial
-from .series import CFinite
+from .series import MAX_R, CFinite
 
 
 class Family(NamedTuple):
@@ -53,12 +53,6 @@ FAMILY_TABLE: Dict[str, Family] = {
     # r = 2 admitted by extension: Q_n = Q_(n-2), seeds 1, 0
     "q-sequence": Family(2, False, _one_first, lambda r: list(range(2, r + 1))),
 }
-
-# the largest order any family accepts.  Cost grows with r: in process,
-# verify --r-set 1000 takes 3.4 s and --r-set 4000 74 s, det --r 1000 -n 10
-# about 1 s (Python 3.11, shared 2-vCPU host); and r near 10**20 cannot even
-# allocate its seed block
-MAX_R = 1000
 
 FAMILIES = tuple(FAMILY_TABLE)
 FIXED_FAMILIES = tuple(f for f in FAMILIES if FAMILY_TABLE[f].min_r is None)

@@ -9,9 +9,10 @@ form, and read out by division-free long division (coefficients).
 
 The catalog holds the closed rational forms tied to the determinant
 families checked in the identities module, keyed by the identity id they
-certify.  Monomials whose sign depends on the parity of an exponent are
-expanded to signed integer coefficients at construction, so every entry is
-a plain CFinite.
+certify.  It is one table, _CATALOG, keyed by (family, parity of r): each
+num and den is a list of terms k x^e with e = a + b h + c r, h = ceil(r/2),
+some carrying the factor (-1)^e.  gf_catalog reads the table at one r into
+a plain CFinite and, like every sequence family, refuses r above MAX_R.
 """
 
 from __future__ import annotations
@@ -19,9 +20,15 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from operator import mul
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 GF_FAMILIES = ("i22", "i23", "i24", "i28", "i29", "i30")
+
+# the largest order r any sequence family or catalog entry accepts.  Cost
+# grows with r: in process, verify --r-set 1000 takes 3.4 s and --r-set 4000
+# 74 s, det --r 1000 -n 10 about 1 s (Python 3.11, shared 2-vCPU host); and r
+# near 10**20 cannot even allocate its seed block
+MAX_R = 1000
 
 
 def _trim(coeffs: Sequence[int]) -> Tuple[int, ...]:
@@ -169,26 +176,69 @@ def expand_rational(gf: CFinite, terms: int) -> List[int]:
     return gf.coefficients(1, terms)
 
 
-def _poly(monomials: Dict[int, int]) -> List[int]:
-    coeffs = [0] * (max(monomials) + 1)
-    for degree, coeff in monomials.items():
-        coeffs[degree] += coeff
-    return coeffs
-
-
-def _add(monomials: Dict[int, int], degree: int, coeff: int) -> None:
-    monomials[degree] = monomials.get(degree, 0) + coeff
-
-
-def _sign(k: int) -> int:
-    return -1 if k % 2 else 1
+# Each catalog term (a, b, c, k, s) is k x^e with e = a + b h + c r and
+# h = ceil(r / 2), times (-1)^e when s is 1, so a signed term is k (-x)^e.
+# Every exponent lies in 0..r; terms on one exponent add up (small r).
+_ONE = (0, 0, 0, 1, 0)
+# (3x - 2x^2 - (-x)^(r-2) - (-x)^(r-1) - 2(-x)^r)
+#   / (1 - 2x + x^2 + (-x)^(r-2) + (-x)^(r-1) + (-x)^r), either parity
+_I30 = (
+    ((1, 0, 0, 3, 0), (2, 0, 0, -2, 0), (-2, 0, 1, -1, 1), (-1, 0, 1, -1, 1), (0, 0, 1, -2, 1)),
+    (_ONE, (1, 0, 0, -2, 0), (2, 0, 0, 1, 0),
+     (-2, 0, 1, 1, 1), (-1, 0, 1, 1, 1), (0, 0, 1, 1, 1)),
+)
+_CATALOG = {
+    # (x^h + x^r) / (1 - 3x + x^2 - x^h)
+    ("i22", 1): (
+        ((0, 1, 0, 1, 0), (0, 0, 1, 1, 0)),
+        (_ONE, (1, 0, 0, -3, 0), (2, 0, 0, 1, 0), (0, 1, 0, -1, 0)),
+    ),
+    # (x^h - x^(h+1) - x^r) / (1 - 3x + x^2 - x^h + x^(h+1))
+    ("i22", 0): (
+        ((0, 1, 0, 1, 0), (1, 1, 0, -1, 0), (0, 0, 1, -1, 0)),
+        (_ONE, (1, 0, 0, -3, 0), (2, 0, 0, 1, 0), (0, 1, 0, -1, 0), (1, 1, 0, 1, 0)),
+    ),
+    # (x + x^h) / (1 - 2x + x^2 - x^h - x^r)
+    ("i23", 1): (
+        ((1, 0, 0, 1, 0), (0, 1, 0, 1, 0)),
+        (_ONE, (1, 0, 0, -2, 0), (2, 0, 0, 1, 0), (0, 1, 0, -1, 0), (0, 0, 1, -1, 0)),
+    ),
+    # (x - x^2) / (1 + 2x + x^3), r = 3 only
+    ("i24", 1): (((1, 0, 0, 1, 0), (2, 0, 0, -1, 0)), (_ONE, (1, 0, 0, 2, 0), (3, 0, 0, 1, 0))),
+    # (-(-x)^h + (-x)^(h+1)) / (1 + 3x + x^2 - (-x)^h - (-x)^(h+1) + x^r)
+    ("i28", 1): (
+        ((0, 1, 0, -1, 1), (1, 1, 0, 1, 1)),
+        (_ONE, (1, 0, 0, 3, 0), (2, 0, 0, 1, 0),
+         (0, 1, 0, -1, 1), (1, 1, 0, -1, 1), (0, 0, 1, 1, 0)),
+    ),
+    # -(-x)^(h+1) / (1 + 3x + x^2 - 2(-x)^h + 3(-x)^(h+1) + x^r)
+    ("i28", 0): (
+        ((1, 1, 0, -1, 1),),
+        (_ONE, (1, 0, 0, 3, 0), (2, 0, 0, 1, 0),
+         (0, 1, 0, -2, 1), (1, 1, 0, 3, 1), (0, 0, 1, 1, 0)),
+    ),
+    # (x^h - x^(h+1)) / (1 - 3x + x^2 - 3x^h + x^(h+1) - x^r)
+    ("i29", 1): (
+        ((0, 1, 0, 1, 0), (1, 1, 0, -1, 0)),
+        (_ONE, (1, 0, 0, -3, 0), (2, 0, 0, 1, 0),
+         (0, 1, 0, -3, 0), (1, 1, 0, 1, 0), (0, 0, 1, -1, 0)),
+    ),
+    # x^(h+1) / (1 - 3x + x^2 - 2x^h + x^(h+1) + x^r)
+    ("i29", 0): (
+        ((1, 1, 0, 1, 0),),
+        (_ONE, (1, 0, 0, -3, 0), (2, 0, 0, 1, 0),
+         (0, 1, 0, -2, 0), (1, 1, 0, 1, 0), (0, 0, 1, 1, 0)),
+    ),
+    ("i30", 1): _I30,
+    ("i30", 0): _I30,
+}
 
 
 def gf_catalog(family: str, r: int) -> CFinite:
-    """Catalog entry for a family at order r.
+    """Catalog entry for a family at order r, 3 <= r <= MAX_R.
 
     Families i23 and i24 exist only for odd r (i24 only at r = 3); the
-    others accept any r >= 3 with parity-specific shapes.
+    others accept any such r with parity-specific shapes.
     """
     if family not in GF_FAMILIES:
         raise ValueError("unknown gf family %r" % (family,))
@@ -197,97 +247,14 @@ def gf_catalog(family: str, r: int) -> CFinite:
             raise ValueError("family i24 is defined only for r = 3, got %d" % r)
     elif r < 3:
         raise ValueError("gf families require r >= 3, got %d" % r)
-    odd = r % 2 == 1
-    num: Dict[int, int] = {}
-    den: Dict[int, int] = {}
-
-    if family == "i22":
-        if odd:
-            h = (r + 1) // 2
-            _add(num, h, 1)
-            _add(num, r, 1)
-            _add(den, 0, 1)
-            _add(den, 1, -3)
-            _add(den, 2, 1)
-            _add(den, h, -1)
-        else:
-            h = r // 2
-            _add(num, h, 1)
-            _add(num, h + 1, -1)
-            _add(num, r, -1)
-            _add(den, 0, 1)
-            _add(den, 1, -3)
-            _add(den, 2, 1)
-            _add(den, h, -1)
-            _add(den, h + 1, 1)
-    elif family == "i23":
-        if not odd:
-            raise ValueError("family i23 is defined only for odd r, got %d" % r)
-        h = (r + 1) // 2
-        _add(num, 1, 1)
-        _add(num, h, 1)
-        _add(den, 0, 1)
-        _add(den, 1, -2)
-        _add(den, 2, 1)
-        _add(den, h, -1)
-        _add(den, r, -1)
-    elif family == "i24":
-        _add(num, 1, 1)
-        _add(num, 2, -1)
-        _add(den, 0, 1)
-        _add(den, 1, 2)
-        _add(den, 3, 1)
-    elif family == "i28":
-        if odd:
-            h = (r + 1) // 2
-            _add(num, h, -_sign(h))
-            _add(num, h + 1, -_sign(h))
-            _add(den, 0, 1)
-            _add(den, 1, 3)
-            _add(den, 2, 1)
-            _add(den, h, -_sign(h))
-            _add(den, h + 1, -_sign(h + 1))
-            _add(den, r, 1)
-        else:
-            h = r // 2
-            _add(num, h + 1, -_sign(h + 1))
-            _add(den, 0, 1)
-            _add(den, 1, 3)
-            _add(den, 2, 1)
-            _add(den, h, -2 * _sign(h))
-            _add(den, h + 1, 3 * _sign(h + 1))
-            _add(den, r, 1)
-    elif family == "i29":
-        if odd:
-            h = (r + 1) // 2
-            _add(num, h, 1)
-            _add(num, h + 1, -1)
-            _add(den, 0, 1)
-            _add(den, 1, -3)
-            _add(den, 2, 1)
-            _add(den, h, -3)
-            _add(den, h + 1, 1)
-            _add(den, r, -1)
-        else:
-            h = r // 2
-            _add(num, h + 1, 1)
-            _add(den, 0, 1)
-            _add(den, 1, -3)
-            _add(den, 2, 1)
-            _add(den, h, -2)
-            _add(den, h + 1, 1)
-            _add(den, r, 1)
-    elif family == "i30":
-        _add(num, 1, 3)
-        _add(num, 2, -2)
-        _add(num, r - 2, -_sign(r - 2))
-        _add(num, r - 1, -_sign(r - 1))
-        _add(num, r, -2 * _sign(r))
-        _add(den, 0, 1)
-        _add(den, 1, -2)
-        _add(den, 2, 1)
-        _add(den, r - 2, _sign(r - 2))
-        _add(den, r - 1, _sign(r - 1))
-        _add(den, r, _sign(r))
-
-    return CFinite(_poly(num), _poly(den))
+    elif r > MAX_R:
+        raise ValueError("gf families require r <= MAX_R = %d, got %d" % (MAX_R, r))
+    elif family == "i23" and r % 2 == 0:
+        raise ValueError("family i23 is defined only for odd r, got %d" % r)
+    h = (r + 1) // 2
+    num, den = [0] * (r + 1), [0] * (r + 1)
+    for poly, terms in zip((num, den), _CATALOG[family, r % 2]):
+        for a, b, c, k, s in terms:
+            e = a + b * h + c * r
+            poly[e] += -k if s and e % 2 else k
+    return CFinite(num, den)

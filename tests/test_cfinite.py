@@ -18,7 +18,7 @@ from tridet import (
     registry,
     seq_term,
 )
-from tridet import identities, sequences
+from tridet import sequences
 from tridet.determinant import DENSE_CAP, annihilator
 from tridet.sequences import _CHUNK
 from tridet.series import rational_coefficients
@@ -192,11 +192,9 @@ def _registry_rules():
     for case in registry():
         orders = [r for r in range(2, 14) if case.accepts_r(r)] if case.parameterized else [None]
         for r in orders:
-            if case.rule is not None:
-                yield case.id, r, case.rule(r)
-            elif case.id == "I-34":
-                for rule, _, _ in identities._i34_clauses(r):
-                    yield case.id, r, rule
+            if case.clauses is not None:
+                for clause in case.clauses(r):
+                    yield case.id, r, clause.rule
 
 
 def test_registry_rules_obey_their_annihilators():

@@ -192,6 +192,7 @@ def test_oversized_values_exit_two_with_one_line(argv, capsys):
          "--stride", "1", "-n", "3"],
         ["det", "--a0", "1", "--kind", "gen-padovan", "--r", str(MAX_R + 1), "--start", "0",
          "--stride", "2", "-n", "3", "--format", "json"],
+        ["gf", "--family", "i22", "--r", str(MAX_R + 1), "--terms", "3"],
     ],
 )
 def test_r_above_max_r_exits_two_before_any_output(argv, capsys):
@@ -207,6 +208,8 @@ def test_r_at_max_r_runs(capsys):
     assert run(["seq", "gen-tribonacci", "--r", str(MAX_R), "--from", str(MAX_R - 2),
                 "--to", str(MAX_R + 1)]) == 0
     assert capsys.readouterr().out == "0 1 1 2\n"
+    assert run(["gf", "--family", "i22", "--r", str(MAX_R), "--terms", "3"]) == 0
+    assert capsys.readouterr().out == "0 0 0\n"
 
 
 def test_det_single_method(capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import tridet.identities as identities_module
 from tridet.sequences import MAX_R
 from tridet import (
+    CFinite,
     EntryRule,
     IdentityCase,
     SequenceKind,
@@ -16,8 +17,10 @@ from tridet import (
     check_all,
     check_identity,
     check_sweeps,
+    det_prefixes,
     expand_rational,
     gf_catalog,
+    make_entries,
     registry,
     seq_range,
     seq_term,
@@ -449,20 +452,17 @@ _PER_N_RIGHT_SIDES = [
 
 
 def _declared(cid):
-    """(case, first n, right side as swept for (r, lo, hi)) of a _PER_N_RIGHT_SIDES id."""
-    if cid in ("I-34a", "I-34b"):
-        clause = "ab".index(cid[-1])
+    """(case, first n, right side for (r, lo, hi)) of a _PER_N_RIGHT_SIDES id, from its clause.
 
-        def clause_at(r):
-            return identities_module._i34_clauses(r)[clause]
-
-        return (
-            _by_id()["I-34"],
-            lambda r: clause_at(r)[2],
-            lambda r, lo, hi: clause_at(r)[1].coefficients(lo, hi),
-        )
-    case = _by_id()[cid]
-    return case, case.n_min, lambda r, lo, hi: [rhs for _, rhs in case.sweep(r, lo, hi)]
+    A case id with a letter appended, as I-34a, names that clause of the case.
+    """
+    cases = _by_id()
+    case, k = (cases[cid], 0) if cid in cases else (cases[cid[:-1]], "ab".index(cid[-1]))
+    return (
+        case,
+        lambda r: case.clauses(r)[k].first,
+        lambda r, lo, hi: case.clauses(r)[k].gf.coefficients(lo, hi),
+    )
 
 
 @given(st.data())
@@ -532,6 +532,46 @@ def test_domain_edges_agree_with_a_longer_sweep():
                 ("I-23", 3), ("I-23", 4), ("I-25", 7), ("I-26", 5), ("I-32", 3),
                 ("I-33", 2), ("I-34", 2)}
     assert smallest <= covered
+
+
+def _merged_per_n(clauses, lo, hi):
+    """The sweep of clauses written per n, with det_prefixes for every left side.
+
+    Each n takes its first covering clause (first <= n) whose sides differ,
+    else its first covering clause.
+    """
+    sides = [(c.first, det_prefixes(make_entries(c.rule, hi)), c.gf.coefficients(0, hi))
+             for c in clauses]
+    out = []
+    for n in range(lo, hi + 1):
+        covering = [(lhs[n], rhs[n]) for first, lhs, rhs in sides if first <= n]
+        out.append(([pair for pair in covering if pair[0] != pair[1]] or covering)[0])
+    return out
+
+
+def test_clause_sweeps_match_a_per_n_merge():
+    # every case but I-36 is its clauses, and its sweep is their merge
+    for case in registry():
+        if case.id == "I-36":
+            assert case.clauses is None
+            continue
+        orders = [r for r in range(2, 14) if case.accepts_r(r)] if case.parameterized else [None]
+        for r in orders:
+            lo, cap = case.n_min(r), case.n_cap(r)
+            hi = 60 if cap is None else cap
+            assert case.sweep(r, lo, hi) == _merged_per_n(case.clauses(r), lo, hi), (case.id, r)
+
+
+def test_sweep_reports_the_first_failing_covering_clause():
+    # I-34's clauses at r = 5 start at n = 4 and n = 1 and differ in value;
+    # the second, broken by x^k, is reported at n = k and nowhere else
+    first, second = _by_id()["I-34"].clauses(5)
+    assert first.first == 4 and second.first == 1
+    for k in (2, 9):
+        clauses = [first, second._replace(gf=second.gf + CFinite((1,)).shift(k))]
+        swept = identities_module._sweep(lambda r: clauses, 5, 1, 20)
+        assert swept == _merged_per_n(clauses, 1, 20)
+        assert [n for n, (lhs, rhs) in enumerate(swept, start=1) if lhs != rhs] == [k]
 
 
 def test_check_sweeps_refuses_r_above_max_r_at_its_first_item():

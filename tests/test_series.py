@@ -1,5 +1,7 @@
 """The C-finite series value, rational series expansion, and the series catalog."""
 
+from typing import Dict, List
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from tridet import (
     expand_rational,
     gf_catalog,
 )
+from tridet.sequences import MAX_R
 
 
 def _gf(num, den):
@@ -153,3 +156,148 @@ def test_catalog_denominators_have_unit_constant():
             assert gf.den[0] == 1
             # expansion must start cleanly: constant coefficient zero
             assert gf.num[0] == 0
+
+
+# the catalog as it stood before the exponent table, one branch per family
+# and parity, kept as the reference the table is compared against
+def _poly(monomials: Dict[int, int]) -> List[int]:
+    coeffs = [0] * (max(monomials) + 1)
+    for degree, coeff in monomials.items():
+        coeffs[degree] += coeff
+    return coeffs
+
+
+def _add(monomials: Dict[int, int], degree: int, coeff: int) -> None:
+    monomials[degree] = monomials.get(degree, 0) + coeff
+
+
+def _sign(k: int) -> int:
+    return -1 if k % 2 else 1
+
+
+def _reference_gf_catalog(family: str, r: int) -> CFinite:
+    """Catalog entry for a family at order r.
+
+    Families i23 and i24 exist only for odd r (i24 only at r = 3); the
+    others accept any r >= 3 with parity-specific shapes.
+    """
+    if family not in GF_FAMILIES:
+        raise ValueError("unknown gf family %r" % (family,))
+    if family == "i24":
+        if r != 3:
+            raise ValueError("family i24 is defined only for r = 3, got %d" % r)
+    elif r < 3:
+        raise ValueError("gf families require r >= 3, got %d" % r)
+    odd = r % 2 == 1
+    num: Dict[int, int] = {}
+    den: Dict[int, int] = {}
+
+    if family == "i22":
+        if odd:
+            h = (r + 1) // 2
+            _add(num, h, 1)
+            _add(num, r, 1)
+            _add(den, 0, 1)
+            _add(den, 1, -3)
+            _add(den, 2, 1)
+            _add(den, h, -1)
+        else:
+            h = r // 2
+            _add(num, h, 1)
+            _add(num, h + 1, -1)
+            _add(num, r, -1)
+            _add(den, 0, 1)
+            _add(den, 1, -3)
+            _add(den, 2, 1)
+            _add(den, h, -1)
+            _add(den, h + 1, 1)
+    elif family == "i23":
+        if not odd:
+            raise ValueError("family i23 is defined only for odd r, got %d" % r)
+        h = (r + 1) // 2
+        _add(num, 1, 1)
+        _add(num, h, 1)
+        _add(den, 0, 1)
+        _add(den, 1, -2)
+        _add(den, 2, 1)
+        _add(den, h, -1)
+        _add(den, r, -1)
+    elif family == "i24":
+        _add(num, 1, 1)
+        _add(num, 2, -1)
+        _add(den, 0, 1)
+        _add(den, 1, 2)
+        _add(den, 3, 1)
+    elif family == "i28":
+        if odd:
+            h = (r + 1) // 2
+            _add(num, h, -_sign(h))
+            _add(num, h + 1, -_sign(h))
+            _add(den, 0, 1)
+            _add(den, 1, 3)
+            _add(den, 2, 1)
+            _add(den, h, -_sign(h))
+            _add(den, h + 1, -_sign(h + 1))
+            _add(den, r, 1)
+        else:
+            h = r // 2
+            _add(num, h + 1, -_sign(h + 1))
+            _add(den, 0, 1)
+            _add(den, 1, 3)
+            _add(den, 2, 1)
+            _add(den, h, -2 * _sign(h))
+            _add(den, h + 1, 3 * _sign(h + 1))
+            _add(den, r, 1)
+    elif family == "i29":
+        if odd:
+            h = (r + 1) // 2
+            _add(num, h, 1)
+            _add(num, h + 1, -1)
+            _add(den, 0, 1)
+            _add(den, 1, -3)
+            _add(den, 2, 1)
+            _add(den, h, -3)
+            _add(den, h + 1, 1)
+            _add(den, r, -1)
+        else:
+            h = r // 2
+            _add(num, h + 1, 1)
+            _add(den, 0, 1)
+            _add(den, 1, -3)
+            _add(den, 2, 1)
+            _add(den, h, -2)
+            _add(den, h + 1, 1)
+            _add(den, r, 1)
+    elif family == "i30":
+        _add(num, 1, 3)
+        _add(num, 2, -2)
+        _add(num, r - 2, -_sign(r - 2))
+        _add(num, r - 1, -_sign(r - 1))
+        _add(num, r, -2 * _sign(r))
+        _add(den, 0, 1)
+        _add(den, 1, -2)
+        _add(den, 2, 1)
+        _add(den, r - 2, _sign(r - 2))
+        _add(den, r - 1, _sign(r - 1))
+        _add(den, r, _sign(r))
+
+    return CFinite(_poly(num), _poly(den))
+
+
+def _catalog_outcome(catalog, family, r):
+    try:
+        gf = catalog(family, r)
+    except ValueError as exc:
+        return str(exc)
+    return gf.num, gf.den
+
+
+def test_catalog_table_matches_the_branch_reference_at_every_r():
+    # every family and an unknown name, at every r from below the domain to
+    # one past MAX_R, where only the table refuses
+    for family in GF_FAMILIES + ("nonesuch",):
+        for r in range(-2, MAX_R + 2):
+            expected = _catalog_outcome(_reference_gf_catalog, family, r)
+            if r > MAX_R and not isinstance(expected, str):
+                expected = "gf families require r <= MAX_R = %d, got %d" % (MAX_R, r)
+            assert _catalog_outcome(gf_catalog, family, r) == expected, (family, r)
