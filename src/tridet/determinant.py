@@ -8,15 +8,14 @@ evaluation routes cross-certify each other:
   linear recurrence with characteristic polynomial Q, the family's series
   denominator multisected at the rule's stride, so their series is the
   series.CFinite P/Q with P read off the first L entries (L = deg Q), and
-  the determinants are the coefficients of Q(-a0 x) / (Q(-a0 x) - x P(-a0 x)).
-  No entry past a_L is made, since the rule generates them by Q's
-  recurrence (the tests check that it does for every registry rule).  The
-  registry's sweeps expand it term by term.
+  the determinants are the coefficients of the series.CFinite
+  Q(-a0 x) / (Q(-a0 x) - x P(-a0 x)).  No entry past a_L is made, since the
+  rule generates them by Q's recurrence (the tests check that it does for
+  every registry rule).  The registry's sweeps read it with coefficients.
 - det_recurrence: det(M_n) alone.  For a spec built by make_entries, which
   is the only code that sets a spec's rule (so such a spec holds exactly
-  its rule's entries), it reads [x^n] of det_gf(spec.rule) by Bostan-Mori
-  halving in O(L^2 log n) integer products; other specs go to
-  det_prefixes.
+  its rule's entries), it is det_gf(spec.rule).at(n), the series' one-term
+  read; other specs go to det_prefixes.
 - det_prefixes: first-row expansion in O(n^2), the oracle for the
   C-finite route and the route for specs without a rule.
 - det_trudi_partitions, det_trudi_compositions: combinatorial expansions
@@ -27,7 +26,6 @@ evaluation routes cross-certify each other:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import mul
 from typing import List, Optional, Tuple
 
 from .combinatorics import compositions, multinomial, partitions
@@ -126,54 +124,31 @@ def annihilator(rule: EntryRule) -> List[int]:
     return multisected_den(family_den(rule.kind), rule.stride)
 
 
-def det_gf(rule: EntryRule) -> Tuple[List[int], List[int]]:
-    """num, den with det(M_m) = [x^m] num/den for every m, for the matrices of a rule.
+def det_gf(rule: EntryRule) -> CFinite:
+    """The series whose coefficient m is det(M_m), for the matrices of a rule.
 
     Built from the rule's annihilator Q and its first L = deg Q entries
-    only, so a sweep or a halving to any n makes no later entry.  The
-    denominator Q(-a0 x) - x P(-a0 x) has constant term 1.
+    only, so a sweep or a one-term read at any n makes no later entry.  Its
+    denominator is Q(-a0 x) - x P(-a0 x), constant term 1.
     """
     q = annihilator(rule)
     # P = (entries * Q) mod x^L
     head = terms_at(rule.kind, rule.start, rule.stride, len(q) - 1)
     scaled = CFinite.from_head(q, head).scale(-rule.a0)
-    num = list(scaled.den)
-    den = num[:]
+    den = list(scaled.den)
     for j, pj in enumerate(scaled.num):
         den[j + 1] -= pj
-    return num, den
-
-
-def _product_coeffs(f: List[int], g: List[int], parity: int) -> List[int]:
-    """Coefficients parity, parity + 2, ... of the product f*g."""
-    rg = g[::-1]
-    last_g = len(g) - 1
-    out = []
-    for k in range(parity, len(f) + last_g, 2):
-        lo, hi = max(0, k - last_g), min(k, len(f) - 1)
-        out.append(sum(map(mul, f[lo : hi + 1], rg[last_g - k + lo : last_g - k + hi + 1])))
-    return out
+    return CFinite(scaled.den, den)
 
 
 def det_recurrence(spec: HessenbergSpec) -> int:
-    """det(M_n): Bostan-Mori halving on det_gf for a make_entries spec, else det_prefixes.
+    """det(M_n): det_gf(spec.rule).at(n) for a make_entries spec, else det_prefixes.
 
-    A spec with a rule holds exactly that rule's entries, so none is read:
-    [x^n] num/den comes in O(L^2 log n) integer products.  Each step
-    multiplies num and den by den(-x), keeps the even half of the
-    denominator and the half of the numerator with the parity of n, and
-    halves n.  The denominator keeps constant term 1, so nothing is divided.
+    A spec with a rule holds exactly that rule's entries, so none is read.
     """
     if spec.rule is None:
         return det_prefixes(spec)[spec.n]
-    num, den = det_gf(spec.rule)
-    n = spec.n
-    while n:
-        twin = [c if i % 2 == 0 else -c for i, c in enumerate(den)]
-        num = _product_coeffs(num, twin, n % 2)
-        den = _product_coeffs(den, twin, 0)
-        n //= 2
-    return num[0]
+    return det_gf(spec.rule).at(spec.n)
 
 
 def det_trudi_partitions(spec: HessenbergSpec) -> int:

@@ -11,9 +11,9 @@ to the declared series.  Each case but I-36 is a list of clauses at r
 (Clause: an entry rule, its declared series and the first n it covers);
 most have one, I-34 has two.  Every case is evaluated one way, by its
 sweep: the (lhs, rhs) pairs for n = lo..hi at one r, built by _sweep
-from one expansion of each clause rule's determinant series
-(determinant.det_gf, built from the first L entries; no later entry is
-made) and one expansion of its right side, O(n) terms per (case, r,
+from each clause rule's determinant series (determinant.det_gf, a
+CFinite built from the first L entries; no later entry is made) and its
+right side, both read by CFinite.coefficients, O(n) terms per (case, r,
 clause).  evaluate, and for one-clause cases rule and rhs, are
 single-point views of the same case.  check_sweeps yields the reports one
 (case, r) sweep at a time, so a caller can write each sweep and drop it;
@@ -32,7 +32,7 @@ from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tup
 from .combinatorics import binomial
 from .determinant import EntryRule, det_gf
 from .sequences import MAX_R, SequenceKind, family_series, seq_range, seq_term
-from .series import CFinite, gf_catalog, rational_coefficients
+from .series import CFinite, gf_catalog
 
 DEFAULT_R_SET = (2, 3, 4, 5, 6, 7, 8)
 DEFAULT_N_MAX = 24
@@ -153,7 +153,7 @@ def _sweep(clauses: ClausesFn, r: Optional[int], lo: int, hi: int) -> List[Tuple
     else its first covering clause.
     """
     swept = [
-        (first, list(zip(rational_coefficients(*det_gf(rule), hi)[lo:], gf.coefficients(lo, hi))))
+        (first, list(zip(det_gf(rule).coefficients(lo, hi), gf.coefficients(lo, hi))))
         for rule, gf, first in clauses(r)
     ]
     if len(swept) == 1:

@@ -5,7 +5,9 @@ some index on is the coefficient list of such a series (Zeilberger's
 "C-finite ansatz", Ramanujan J. 31, 2013).  CFinite is that one value:
 it is built from a denominator and the sequence's first terms
 (from_head), shifted, scaled, added, multiplied and multisected in closed
-form, and read out by division-free long division (coefficients).
+form, and read out by division-free long division (coefficients) or one
+term alone by Bostan-Mori halving (at).  A determinant series (det_gf) and
+a declared right side are both this value.
 
 The catalog holds the closed rational forms tied to the determinant
 families checked in the identities module, keyed by the identity id they
@@ -21,8 +23,6 @@ from collections import deque
 from dataclasses import dataclass
 from operator import mul
 from typing import List, Sequence, Tuple
-
-GF_FAMILIES = ("i22", "i23", "i24", "i28", "i29", "i30")
 
 # the largest order r any sequence family or catalog entry accepts.  Cost
 # grows with r: in process, verify --r-set 1000 takes 3.4 s and --r-set 4000
@@ -50,6 +50,17 @@ def _times(f: Sequence[int], g: Sequence[int]) -> List[int]:
         if a:
             for j, b in enumerate(g):
                 out[i + j] += a * b
+    return out
+
+
+def _product_coeffs(f: Sequence[int], g: Sequence[int], parity: int) -> List[int]:
+    """Coefficients parity, parity + 2, ... of the product f*g."""
+    rg = g[::-1]
+    last_g = len(g) - 1
+    out = []
+    for k in range(parity, len(f) + last_g, 2):
+        lo, hi = max(0, k - last_g), min(k, len(f) - 1)
+        out.append(sum(map(mul, f[lo : hi + 1], rg[last_g - k + lo : last_g - k + hi + 1])))
     return out
 
 
@@ -122,8 +133,38 @@ class CFinite:
         return CFinite.from_head(den, self.coefficients(0, s * (terms - 1))[::s])
 
     def coefficients(self, lo: int, hi: int) -> List[int]:
-        """c_lo .. c_hi, 0 <= lo."""
-        return rational_coefficients(self.num, self.den, hi)[lo:]
+        """c_lo .. c_hi, 0 <= lo.
+
+        c_m = num_m - sum_{k>=1} den_k * c_(m-k) is exact division-free long
+        division.  The output is allocated first, so an oversized hi fails
+        before any term is computed.
+        """
+        num = self.num
+        coeffs = [0] * (hi + 1)
+        order = len(self.den) - 1
+        tail = self.den[:0:-1]  # den_L, ..., den_1, aligned with the window oldest first
+        window = deque([0] * order, maxlen=order)
+        for m in range(hi + 1):
+            c = (num[m] if m < len(num) else 0) - sum(map(mul, tail, window))
+            window.append(c)
+            coeffs[m] = c
+        return coeffs[lo:]
+
+    def at(self, n: int) -> int:
+        """c_n, 0 <= n, by Bostan-Mori halving in O(L^2 log n) integer products.
+
+        Each step multiplies num and den by den(-x), keeps the even half of
+        the denominator and the half of the numerator with the parity of n,
+        and halves n.  The denominator keeps constant term 1, so nothing is
+        divided; over den = 1 the numerator can run out, and c_n is then 0.
+        """
+        num, den = self.num, self.den
+        while n:
+            twin = [c if i % 2 == 0 else -c for i, c in enumerate(den)]
+            num = _product_coeffs(num, twin, n % 2)
+            den = _product_coeffs(den, twin, 0)
+            n //= 2
+        return num[0] if num else 0
 
 
 def multisected_den(den: Sequence[int], s: int) -> List[int]:
@@ -149,24 +190,6 @@ def multisected_den(den: Sequence[int], s: int) -> List[int]:
     for k in range(1, order + 1):
         out.append(-sum(sums[s * i] * out[k - i] for i in range(1, k + 1)) // k)
     return out
-
-
-def rational_coefficients(num: Sequence[int], den: Sequence[int], n: int) -> List[int]:
-    """c_0 .. c_n of the series num/den, for den[0] == 1; num may be the longer.
-
-    c_m = num_m - sum_{k>=1} den_k * c_(m-k) is exact division-free long
-    division.  The output is allocated first, so an oversized n fails before
-    any term is computed.
-    """
-    coeffs = [0] * (n + 1)
-    order = len(den) - 1
-    tail = den[:0:-1]  # den_L, ..., den_1, aligned with the window oldest first
-    window = deque([0] * order, maxlen=order)
-    for m in range(n + 1):
-        c = (num[m] if m < len(num) else 0) - sum(map(mul, tail, window))
-        window.append(c)
-        coeffs[m] = c
-    return coeffs
 
 
 def expand_rational(gf: CFinite, terms: int) -> List[int]:
@@ -232,6 +255,7 @@ _CATALOG = {
     ("i30", 1): _I30,
     ("i30", 0): _I30,
 }
+GF_FAMILIES = tuple(dict.fromkeys(family for family, _ in _CATALOG))
 
 
 def gf_catalog(family: str, r: int) -> CFinite:
@@ -249,8 +273,9 @@ def gf_catalog(family: str, r: int) -> CFinite:
         raise ValueError("gf families require r >= 3, got %d" % r)
     elif r > MAX_R:
         raise ValueError("gf families require r <= MAX_R = %d, got %d" % (MAX_R, r))
-    elif family == "i23" and r % 2 == 0:
-        raise ValueError("family i23 is defined only for odd r, got %d" % r)
+    elif (family, r % 2) not in _CATALOG:
+        only = "even" if r % 2 else "odd"
+        raise ValueError("family %s is defined only for %s r, got %d" % (family, only, r))
     h = (r + 1) // 2
     num, den = [0] * (r + 1), [0] * (r + 1)
     for poly, terms in zip((num, den), _CATALOG[family, r % 2]):

@@ -3,7 +3,7 @@
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tridet import (
@@ -21,7 +21,6 @@ from tridet import (
 from tridet import sequences
 from tridet.determinant import DENSE_CAP, annihilator
 from tridet.sequences import _CHUNK
-from tridet.series import rational_coefficients
 
 # every family at every in-domain order up to 10
 KINDS = [SequenceKind(f) for f in sequences.FIXED_FAMILIES] + [
@@ -51,7 +50,7 @@ def rules(draw):
 @settings(max_examples=150, deadline=None)
 def test_cfinite_route_matches_the_oracles(rule, n):
     spec = make_entries(rule, n)
-    dets = rational_coefficients(*det_gf(rule), n)
+    dets = det_gf(rule).coefficients(0, n)
     assert dets == det_prefixes(spec)
     assert det_recurrence(spec) == dets[n]
     if n <= DENSE_CAP:
@@ -64,7 +63,7 @@ def test_sizes_below_the_recurrence_order(stride):
     assert len(annihilator(rule)) - 1 == 10
     for n in range(1, 12):
         spec = make_entries(rule, n)
-        assert rational_coefficients(*det_gf(rule), n) == det_prefixes(spec)
+        assert det_gf(rule).coefficients(0, n) == det_prefixes(spec)
         assert det_recurrence(spec) == det_dense(spec)
 
 
@@ -81,7 +80,7 @@ def test_altered_entries_are_refused():
     # entry, since det(M_m) holds a_m with the coefficient (-a0)^(m-1)
     rule = EntryRule(SequenceKind("gen-tribonacci", 5), 1, 2, 3)
     spec = make_entries(rule, 20)
-    series = rational_coefficients(*det_gf(rule), spec.n)
+    series = det_gf(rule).coefficients(0, spec.n)
     for i in range(spec.n):
         entries = list(spec.entries)
         entries[i] += 1
@@ -137,13 +136,30 @@ def test_altered_entries_are_refused_at_the_first_broken_entry(stride, positions
         assert _first_broken_entry(altered.entries, q) == max(min(positions + extra), order) + 1
 
 
+def _trimmed_denominator_examples(test):
+    """I-08, I-17 (r = 3..13) and I-14 (r = 13), whose det_gf denominators trim.
+
+    I-08's and I-17's trim to (1,), so the halving's numerator runs out;
+    I-14's at r = 13 keeps 3 of its 14 coefficients.
+    """
+    cases = {case.id: case for case in registry()}
+    rules = [cases["I-08"].clauses(None)[0].rule, cases["I-14"].clauses(13)[0].rule]
+    rules += [cases["I-17"].clauses(r)[0].rule for r in range(3, 14)]
+    for rule in rules:
+        r = rule.kind.r or 3
+        for n in (1, 2, r, r + 1, _CHUNK + 1):
+            test = example(rule, n)(test)
+    return test
+
+
 @given(rules(), st.integers(1, 1100))
+@_trimmed_denominator_examples
 @settings(max_examples=80, deadline=None)
 def test_halving_matches_the_linear_expansion_deep(rule, n):
     spec = make_entries(rule, n)
-    dets = rational_coefficients(*det_gf(rule), n)
+    dets = det_gf(rule).coefficients(0, n)
     assert det_recurrence(spec) == dets[n]
-    if n <= 120:
+    if n <= 120 or n == _CHUNK + 1:
         assert dets == det_prefixes(spec)
 
 
@@ -222,7 +238,7 @@ def spread_rules(draw):
 def test_entry_free_series_matches_the_entry_routes(rule, n):
     spec = make_entries(rule, n)
     dets = det_prefixes(spec)
-    assert rational_coefficients(*det_gf(rule), n) == dets
+    assert det_gf(rule).coefficients(0, n) == dets
     assert det_recurrence(spec) == dets[n]
 
 
@@ -235,4 +251,4 @@ def test_spec_routes_read_their_own_first_entries():
     assert doubled.rule is None
     expected = det_prefixes(doubled)
     assert det_recurrence(doubled) == expected[-1]
-    assert rational_coefficients(*det_gf(rule), 40) == det_prefixes(spec) != expected
+    assert det_gf(rule).coefficients(0, 40) == det_prefixes(spec) != expected

@@ -136,6 +136,9 @@ GOLDEN_STDOUT = {
         "2f148421fe34baeb343f33a61d19fc60c276cae02b40e2d8339926cd89027d90",
     _VERIFY + ("--format", "csv"):
         "8ff9d3792018e051d04a80cdef5baccdd5333159c79657347726d6da850813fd",
+    # the verify-deep bytes the benchmark checks
+    ("verify", "--nmax", "120", "--format", "json"):
+        "afd8c133ca2c3bba645bbc723da0ad19c07232ffab9b83e9f3eb8e455f760892",
     ("--help",): "587608d5695b85b71d21875cfd37fb4defaa9a271cff41ffa96c8b904fbb5856",
     ("seq", "--help"): "bbe4feaeed14efc3a856d6c3cd359fb5d1c239f6d4842cb3769dc3ad07206b36",
     ("det", "--help"): "4237afd1d40e4004b9aedeb5d4c26ed4722d54fb00ca5c37a4f8a5db82aeedeb",

@@ -3,7 +3,7 @@
 from typing import Dict, List
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tridet import (
@@ -41,6 +41,20 @@ def test_value_worked_examples():
     assert (fib + fib.shift(1)).coefficients(0, 5) == [0, 1, 2, 3, 5, 8]
     assert (fib * fib).coefficients(0, 5) == [0, 0, 1, 2, 5, 10]
     assert (-fib).coefficients(0, 3) == [0, -1, -1, -2]
+
+
+@given(
+    st.lists(st.integers(-6, 6), max_size=6),
+    st.lists(st.integers(-6, 6), max_size=5),
+)
+@example([], [3])
+@example([3, 0, -2], [])
+@example([3, 0, -2], [0, 0])
+def test_one_term_read_matches_the_expansion(num, den_tail):
+    # the zero series, and den trimmed to (1,), where the halving's
+    # numerator runs out
+    gf = _gf(num, [1] + den_tail)
+    assert [gf.at(n) for n in range(41)] == [gf.coefficients(n, n)[0] for n in range(41)]
 
 
 def test_expand_worked_examples():
