@@ -31,7 +31,7 @@ from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tup
 
 from .combinatorics import binomial
 from .determinant import EntryRule, det_gf
-from .sequences import MAX_R, SequenceKind, family_series, seq_range, seq_term
+from .sequences import FAMILY_TABLE, MAX_R, SequenceKind, family_series, seq_range, seq_term
 from .series import CFinite, gf_catalog
 
 DEFAULT_R_SET = (2, 3, 4, 5, 6, 7, 8)
@@ -638,12 +638,15 @@ def check_sweeps(
 
     Each item is the nonempty list of one sweep's reports in n order; with
     fail_fast, the sweep holding the first failure ends at it and nothing
-    follows.  Unknown ids and an r above MAX_R raise ValueError when the
-    first item is asked for.
+    follows.  Unknown ids, an r above MAX_R and an r below the smallest
+    order any family takes raise ValueError when the first item is asked for.
     """
     too_big = [r for r in r_set if r > MAX_R]
     if too_big:
         raise ValueError("r_set holds r = %d, above MAX_R = %d" % (max(too_big), MAX_R))
+    lowest = min(fam.min_r for fam in FAMILY_TABLE.values() if fam.min_r is not None)
+    if min(r_set, default=lowest) < lowest:
+        raise ValueError("r_set holds r = %d, below the smallest order %d" % (min(r_set), lowest))
     cases = registry()
     if ids is not None:
         known = {c.id for c in cases}

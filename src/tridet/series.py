@@ -22,12 +22,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from operator import mul
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 # the largest order r any sequence family or catalog entry accepts.  Cost
-# grows with r: in process, verify --r-set 1000 takes 3.4 s and --r-set 4000
-# 74 s, det --r 1000 -n 10 about 1 s (Python 3.11, shared 2-vCPU host); and r
-# near 10**20 cannot even allocate its seed block
+# grows with r: in process, verify --r-set 1000 takes 2.2 s and (bound lifted)
+# --r-set 4000 40 s, det --kind k-step-fibonacci --r 1000 -n 10 0.4 s (Python
+# 3.11, shared 2-vCPU host); r near 10**20 cannot even allocate its seed block
 MAX_R = 1000
 
 
@@ -44,21 +44,17 @@ def _plus(f: Sequence[int], g: Sequence[int]) -> List[int]:
     return [a + b for a, b in zip(f, g)] + list(f[len(g) :])
 
 
-def _times(f: Sequence[int], g: Sequence[int]) -> List[int]:
-    out = [0] * max(len(f) + len(g) - 1, 0)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return out
-
-
-def _product_coeffs(f: Sequence[int], g: Sequence[int], parity: int) -> List[int]:
-    """Coefficients parity, parity + 2, ... of the product f*g."""
+def _convolve(
+    f: Sequence[int], g: Sequence[int], first: int = 0, step: int = 1, stop: Optional[int] = None
+) -> List[int]:
+    """Coefficients first, first + step, ... of f*g, below stop; none if f or g is empty."""
+    if not f or not g:
+        return []
     rg = g[::-1]
     last_g = len(g) - 1
+    end = len(f) + last_g if stop is None else min(stop, len(f) + last_g)
     out = []
-    for k in range(parity, len(f) + last_g, 2):
+    for k in range(first, end, step):
         lo, hi = max(0, k - last_g), min(k, len(f) - 1)
         out.append(sum(map(mul, f[lo : hi + 1], rg[last_g - k + lo : last_g - k + hi + 1])))
     return out
@@ -90,7 +86,7 @@ class CFinite:
         It equals a sequence that begins with head and obeys den's
         recurrence at every n >= len(head).
         """
-        return cls(_times(head, den)[: len(head)], den)
+        return cls(_convolve(head, den, stop=len(head)), den)
 
     def shift(self, k: int) -> "CFinite":
         """x^k times the series; for k < 0, the series with its first -k coefficients dropped."""
@@ -98,7 +94,7 @@ class CFinite:
             return CFinite((0,) * k + self.num, self.den)
         # (series - head) / x^(-k): the coefficients below x^(-k) cancel
         head = self.coefficients(0, -k - 1)
-        return CFinite(_plus(self.num, [-c for c in _times(head, self.den)])[-k:], self.den)
+        return CFinite(_plus(self.num[-k:], [-c for c in _convolve(head, self.den, -k)]), self.den)
 
     def scale(self, c: int) -> "CFinite":
         """The series at c*x: coefficient n times c^n."""
@@ -112,12 +108,12 @@ class CFinite:
     def __add__(self, other: "CFinite") -> "CFinite":
         if self.den == other.den:
             return CFinite(_plus(self.num, other.num), self.den)
-        num = _plus(_times(self.num, other.den), _times(other.num, self.den))
-        return CFinite(num, _times(self.den, other.den))
+        num = _plus(_convolve(self.num, other.den), _convolve(other.num, self.den))
+        return CFinite(num, _convolve(self.den, other.den))
 
     def __mul__(self, other: "CFinite") -> "CFinite":
         """The Cauchy product."""
-        return CFinite(_times(self.num, other.num), _times(self.den, other.den))
+        return CFinite(_convolve(self.num, other.num), _convolve(self.den, other.den))
 
     def multisect(self, s: int) -> "CFinite":
         """The series of coefficients 0, s, 2s, ... of this one, for s >= 1.
@@ -161,8 +157,8 @@ class CFinite:
         num, den = self.num, self.den
         while n:
             twin = [c if i % 2 == 0 else -c for i, c in enumerate(den)]
-            num = _product_coeffs(num, twin, n % 2)
-            den = _product_coeffs(den, twin, 0)
+            num = _convolve(num, twin, n % 2, 2)
+            den = _convolve(den, twin, 0, 2)
             n //= 2
         return num[0] if num else 0
 
@@ -178,13 +174,8 @@ def multisected_den(den: Sequence[int], s: int) -> List[int]:
     if s == 1:
         return q
     order = len(q) - 1
-    # p_k = -k q_k - sum_{i<k} p_i q_(k-i) gives the power sums of den
-    sums = [0]
-    for k in range(1, s * order + 1):
-        acc = -k * q[k] if k <= order else 0
-        for i in range(max(1, k - order), k):
-            acc -= sums[i] * q[k - i]
-        sums.append(acc)
+    # the power sums of den are the coefficients of -x den'(x) / den(x)
+    sums = CFinite([-k * c for k, c in enumerate(q)], q).coefficients(0, s * order)
     # and k R_k = -sum_{i=1..k} p_(s i) R_(k-i) recovers R
     out = [1]
     for k in range(1, order + 1):

@@ -207,6 +207,22 @@ def test_r_above_max_r_exits_two_before_any_output(argv, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ") and "MAX_R = %d" % MAX_R in lines[0]
 
 
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+@pytest.mark.parametrize("r_set", ["-5", "0,2", "3,1"])
+def test_verify_r_below_every_family_exits_two_before_any_output(r_set, fmt, capsys):
+    # no family takes an order below 2, so such an r is refused, not dropped
+    assert run(["verify", "--r-set", r_set, "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "smallest order 2" in lines[0]
+
+
+def test_verify_r_two_runs(capsys):
+    assert run(["verify", "--ids", "I-33,I-34", "--r-set", "2", "--nmax", "6"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "checked=12 passed=12 failed=0"
+
+
 def test_r_at_max_r_runs(capsys):
     assert run(["seq", "gen-tribonacci", "--r", str(MAX_R), "--from", str(MAX_R - 2),
                 "--to", str(MAX_R + 1)]) == 0

@@ -1,6 +1,7 @@
 """Identity registry: shape, domains, frozen spot values, cross-consistency."""
 
 import dataclasses
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from tridet import (
     check_all,
     check_identity,
     check_sweeps,
+    det_gf,
     det_prefixes,
     expand_rational,
     gf_catalog,
@@ -581,3 +583,32 @@ def test_check_sweeps_refuses_r_above_max_r_at_its_first_item():
         with pytest.raises(ValueError, match="above MAX_R = %d$" % MAX_R):
             next(sweeps)
     assert next(check_sweeps(r_set=(MAX_R,), ids=["I-33"]))[0].r == MAX_R
+
+
+def test_check_sweeps_refuses_r_below_every_family_at_its_first_item():
+    # the smallest order any family takes is 2; a lower r is refused, not dropped
+    for r_set in ((-5,), (0, 2), (3, 1)):
+        sweeps = check_sweeps(r_set=r_set)
+        with pytest.raises(ValueError, match="below the smallest order 2$"):
+            next(sweeps)
+    assert next(check_sweeps(r_set=(2,), ids=["I-33"]))[0].r == 2
+
+
+def test_report_tuples_over_r_two_to_thirteen_are_pinned():
+    # every report of check_all at r = 2..13, n <= 150, value for value
+    reports, _ = check_all(r_set=tuple(range(2, 14)), n_max=150)
+    assert hashlib.sha256(repr([tuple(rep) for rep in reports]).encode()).hexdigest() == (
+        "d957eb30825a43f15480b88bbffcb70817dec6dd3c82aed37ce76668556f28c3"
+    )
+
+
+def test_i19b_clause_holds_up_to_n_cap_and_fails_just_past_it():
+    # Clause has no last n: I-19b's clause is true only on [2, n_cap(r)], so
+    # a reader of clauses must bound n by n_cap too
+    case = _by_id()["I-19b"]
+    for r in range(3, 16, 2):
+        (clause,) = case.clauses(r)
+        lhs = det_gf(clause.rule).coefficients(0, 2 * r)
+        rhs = clause.gf.coefficients(0, 2 * r)
+        first_diff = next(n for n in range(clause.first, 2 * r + 1) if lhs[n] != rhs[n])
+        assert clause.first == 2 and first_diff == r == case.n_cap(r) + 1, r

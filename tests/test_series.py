@@ -12,7 +12,8 @@ from tridet import (
     expand_rational,
     gf_catalog,
 )
-from tridet.sequences import MAX_R
+from tridet.sequences import MAX_R, SequenceKind, family_den
+from tridet.series import _convolve, multisected_den
 
 
 def _gf(num, den):
@@ -55,6 +56,67 @@ def test_one_term_read_matches_the_expansion(num, den_tail):
     # numerator runs out
     gf = _gf(num, [1] + den_tail)
     assert [gf.at(n) for n in range(41)] == [gf.coefficients(n, n)[0] for n in range(41)]
+
+
+def _naive_product(f, g):
+    out = [0] * (len(f) + len(g) - 1) if f and g else []
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+@given(
+    st.lists(st.integers(-9, 9), max_size=7),
+    st.lists(st.integers(-9, 9), max_size=7),
+    st.integers(0, 14),
+    st.integers(1, 3),
+    st.one_of(st.none(), st.integers(0, 16)),
+)
+@example([], [1, 2], 0, 1, None)  # an empty factor
+@example([3, 0, -2], [], 1, 2, 5)
+@example([1, 2], [3, 4], 0, 1, 10)  # stop past the end
+@example([1, 2, 3], [4, -5, 6, 7], 0, 2, None)  # the halving's two parities
+@example([1, 2, 3], [4, -5, 6, 7], 1, 2, None)
+@example([5, 0, 1], [1, -1], 0, 1, 3)  # from_head's stop
+def test_convolve_reads_the_naive_product(f, g, first, step, stop):
+    assert _convolve(f, g, first, step, stop) == _naive_product(f, g)[first:stop:step]
+
+
+def _reference_multisected_den(den, s):
+    """multisected_den with den's power sums stepped by their own double loop."""
+    q = list(den)
+    if s == 1:
+        return q
+    order = len(q) - 1
+    # p_k = -k q_k - sum_{i<k} p_i q_(k-i) gives the power sums of den
+    sums = [0]
+    for k in range(1, s * order + 1):
+        acc = -k * q[k] if k <= order else 0
+        for i in range(max(1, k - order), k):
+            acc -= sums[i] * q[k - i]
+        sums.append(acc)
+    # and k R_k = -sum_{i=1..k} p_(s i) R_(k-i) recovers R
+    out = [1]
+    for k in range(1, order + 1):
+        out.append(-sum(sums[s * i] * out[k - i] for i in range(1, k + 1)) // k)
+    return out
+
+
+@given(st.lists(st.integers(-6, 6), max_size=6), st.integers(1, 6))
+@example([], 1)  # den = (1,)
+@example([], 4)
+@example([0, 2, 0], 3)  # a gap and a trailing zero
+def test_multisected_den_matches_the_power_sum_loop(den_tail, s):
+    den = [1] + den_tail
+    assert multisected_den(den, s) == _reference_multisected_den(den, s)
+
+
+@pytest.mark.parametrize("r", range(2, 13))
+def test_multisected_den_matches_the_power_sum_loop_on_k_step_fibonacci(r):
+    den = family_den(SequenceKind("k-step-fibonacci", r))
+    for s in range(1, 7):
+        assert multisected_den(den, s) == _reference_multisected_den(den, s), s
 
 
 def test_expand_worked_examples():
