@@ -19,7 +19,8 @@ evaluation routes cross-certify each other:
 - det_prefixes: first-row expansion in O(n^2), the oracle for the
   C-finite route and the route for specs without a rule.
 - det_trudi_partitions, det_trudi_compositions: combinatorial expansions
-  over partitions and over compositions.
+  over partitions and over compositions, each a tree walk with O(1)
+  integer products per node over p(n) or 2^(n-1) leaves.
 - det_dense: fraction-free dense elimination.
 """
 
@@ -28,13 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from .combinatorics import compositions, multinomial, partitions
 from .sequences import SequenceKind, family_den, terms_at
 from .series import CFinite, multisected_den
 
 # oracle caps, with one evaluation at the cap (tribonacci entries, Python 3.11, 2-vCPU Xeon)
-TRUDI_PARTITION_CAP = 45  # p(45) = 89134 partitions, 20 % more per n: 0.9 s
-COMPOSITION_CAP = 20  # 2^19 compositions, twice as many per n: 1.2 s
+TRUDI_PARTITION_CAP = 45  # p(45) = 89134 partitions, 20 % more per n: 0.08 s
+COMPOSITION_CAP = 20  # 2^19 compositions, twice as many per n: 0.25 s
 DENSE_CAP = 64  # O(n^3) Bareiss steps, 15 ms: a round bound on the matrix, not a time limit
 
 
@@ -151,30 +151,62 @@ def det_recurrence(spec: HessenbergSpec) -> int:
     return det_gf(spec.rule).at(spec.n)
 
 
+def _signed_powers(a0: int, n: int) -> List[int]:
+    """[(-a0)^0, ..., (-a0)^n]."""
+    powers = [1]
+    for _ in range(n):
+        powers.append(powers[-1] * -a0)
+    return powers
+
+
 def det_trudi_partitions(spec: HessenbergSpec) -> int:
-    """Determinant as a signed multinomial sum over partition multiplicity vectors."""
+    """Determinant as a signed multinomial sum over partitions of n.
+
+    A partition with s_i parts of size i and m parts in all contributes
+    (-a0)^(n-m) * multinomial(s) * prod a_i^(s_i).  A walk adds parts in
+    increasing size and carries the multinomial times the entry product, which
+    grows by C(m + v, v) * a_i^v when v parts of size i join m earlier ones.
+    It only enters a size that leaves the remaining weight 0 or larger than
+    that size, so each of its nodes leads to one of the p(n) partitions.
+    """
     n = spec.n
     if n == 0:
         return 1
     if n > TRUDI_PARTITION_CAP:
         raise ValueError("partition expansion capped at n = %d, got %d" % (TRUDI_PARTITION_CAP, n))
-    a0, a = spec.a0, spec.entries
+    a = spec.entries
+    sign = _signed_powers(spec.a0, n)
     total = 0
-    for s in partitions(n):
-        sigma = sum(s)
-        term = (-a0) ** (n - sigma) * multinomial(s)
-        for i, mult in enumerate(s):
-            if mult:
-                term *= a[i] ** mult
-        total += term
+
+    def walk(smallest: int, w: int, parts: int, coef: int) -> None:
+        # coef = multinomial * entry product of the parts so far, all below smallest
+        nonlocal total
+        for size in range(smallest, w // 2 + 1):
+            term, m, rem = coef, parts, w
+            while rem >= size:
+                m += 1
+                rem -= size
+                # term = coef * C(m, v) * a_size^v with v = m - parts; the division is exact
+                term = term * m // (m - parts) * a[size - 1]
+                if rem == 0:
+                    total += sign[n - m] * term
+                elif rem > size:
+                    walk(size + 1, rem, m, term)
+        # the whole remaining weight as one last part
+        total += sign[n - parts - 1] * coef * (parts + 1) * a[w - 1]
+
+    walk(1, n, 0, 1)
     return total
 
 
 def det_trudi_compositions(spec: HessenbergSpec) -> int:
     """Determinant as a signed weight sum over compositions; needs a0 in {1, -1}.
 
-    For a0 = 1 each composition with m parts carries sign (-1)^(n-m); for
-    a0 = -1 every weight is positive.
+    A composition of n weighs the product of (-a0)^(x-1) * a_x over its parts
+    x: for a0 = 1 that is (-1)^(n-m) times the entry product, m being the
+    number of parts; for a0 = -1 every sign is positive.  A walk over the
+    prefixes carries the weight, one product per prefix: fewer than 2^n
+    nodes for the 2^(n-1) compositions.
     """
     n = spec.n
     if n == 0:
@@ -183,15 +215,18 @@ def det_trudi_compositions(spec: HessenbergSpec) -> int:
         raise ValueError("composition expansion capped at n = %d, got %d" % (COMPOSITION_CAP, n))
     if spec.a0 not in (1, -1):
         raise ValueError("composition expansion requires a0 in {1, -1}, got %d" % spec.a0)
-    a = spec.entries
+    # part x weighs (-a0)^(x-1) * a_x
+    part = [0] + [s * e for s, e in zip(_signed_powers(spec.a0, n), spec.entries)]
     total = 0
-    for parts in compositions(n):
-        weight = 1
-        for x in parts:
-            weight *= a[x - 1]
-        if spec.a0 == 1 and (n - len(parts)) % 2 == 1:
-            weight = -weight
-        total += weight
+
+    def walk(w: int, weight: int) -> None:
+        # weight = product over the prefix's parts; w is what is left of n
+        nonlocal total
+        for x in range(1, w):
+            walk(w - x, weight * part[x])
+        total += weight * part[w]
+
+    walk(n, 1)
     return total
 
 
