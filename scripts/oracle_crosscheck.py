@@ -40,6 +40,7 @@ from tridet import (
     registry,
     seq_term,
 )
+from tridet.sequences import FAMILY_TABLE, order_refusal
 
 
 def report(label: str, ok: bool) -> bool:
@@ -103,18 +104,12 @@ def tilings_match(rng: random.Random, trials: int) -> bool:
     return ok
 
 
-# every family at every in-domain order up to 10
-RULE_KINDS = [SequenceKind(f) for f in ("fibonacci", "tribonacci", "padovan")] + [
-    SequenceKind(f, r)
-    for f, rs in (
-        ("gen-tribonacci", range(3, 11)),
-        ("gen-padovan", range(3, 11)),
-        ("square-rmino", range(2, 11)),
-        ("skip-tribonacci", range(3, 11, 2)),
-        ("k-step-fibonacci", range(2, 11)),
-        ("q-sequence", range(2, 11)),
-    )
-    for r in rs
+# every family at every in-domain order up to 10, in FAMILY_TABLE order
+RULE_KINDS = [
+    SequenceKind(family, r)
+    for family in FAMILY_TABLE
+    for r in (None, *range(2, 11))
+    if order_refusal(family, r) is None
 ]
 
 

@@ -26,7 +26,6 @@ from .identities import (
     IdentityReport,
     VerificationSummary,
     check_all,
-    check_identity,
     check_sweeps,
     registry,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "IdentityReport",
     "VerificationSummary",
     "check_all",
-    "check_identity",
     "check_sweeps",
     "registry",
     "FIXED_FAMILIES",

@@ -72,11 +72,8 @@ class EntryRule:
     a0: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.kind, str):
-            # convenience for fixed families; parameterized names still need r
-            object.__setattr__(self, "kind", SequenceKind(self.kind))
-        elif not isinstance(self.kind, SequenceKind):
-            raise TypeError("kind must be a SequenceKind or a family name string")
+        if not isinstance(self.kind, SequenceKind):
+            raise TypeError("kind must be a SequenceKind")
         if self.start < 0:
             raise ValueError("start index must be nonnegative")
         if self.stride < 1:

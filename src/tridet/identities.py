@@ -9,17 +9,21 @@ form given by its denominator and its first printed values (_printed).
 The comment next to each case is the derivation from the printed formula
 to the declared series.  Each case but I-36 is a list of clauses at r
 (Clause: an entry rule, its declared series and the first n it covers);
-most have one, I-34 has two.  Every case is evaluated one way, by its
-sweep: the (lhs, rhs) pairs for n = lo..hi at one r, built by _sweep
-from each clause rule's determinant series (determinant.det_gf, a
-CFinite built from the first L entries; no later entry is made) and its
-right side, both read by CFinite.coefficients, O(n) terms per (case, r,
-clause).  evaluate, and for one-clause cases rule and rhs, are
-single-point views of the same case.  check_sweeps yields the reports one
-(case, r) sweep at a time, so a caller can write each sweep and drop it;
-check_all collects them.  A report passes when the two integers are
-equal; failures are data, never exceptions.  Checks outside a case's
-stated (r, n) domain are refused rather than silently passed.
+most have one, whose entry rule is declared as the data row (family,
+start, stride, a0), and I-34 has two.  A case takes the orders r its
+entry family takes in sequences.FAMILY_TABLE (read through
+order_refusal), narrowed only where the paper narrows them: I-19b, I-20,
+I-21, I-25 and I-26.  Every case is evaluated one way, by its sweep: the
+(lhs, rhs) pairs for n = lo..hi at one r, built by _sweep from each
+clause rule's determinant series (determinant.det_gf, a CFinite built
+from the first L entries; no later entry is made) and its right side,
+both read by CFinite.coefficients, O(n) terms per (case, r, clause).
+evaluate, and for one-clause cases rule and rhs, are single-point views
+of the same case.  check_sweeps yields the reports one (case, r) sweep at
+a time, so a caller can write each sweep and drop it; check_all collects
+them.  A report passes when the two integers are equal; failures are
+data, never exceptions.  Only points inside a case's stated (r, n)
+domain are checked, so none outside it is ever reported as passed.
 """
 
 from __future__ import annotations
@@ -27,18 +31,24 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .combinatorics import binomial
 from .determinant import EntryRule, det_gf
-from .sequences import FAMILY_TABLE, MAX_R, SequenceKind, family_series, seq_range, seq_term
+from .sequences import (
+    FAMILY_TABLE,
+    MAX_R,
+    PARAMETRIC_FAMILIES,
+    SequenceKind,
+    family_series,
+    order_refusal,
+    seq_range,
+    seq_term,
+)
 from .series import CFinite, gf_catalog
 
 DEFAULT_R_SET = (2, 3, 4, 5, 6, 7, 8)
 DEFAULT_N_MAX = 24
-
-_TRIB = SequenceKind("tribonacci")
-_PAD = SequenceKind("padovan")
 
 RhsFn = Callable[[Optional[int], int], int]
 PairFn = Callable[[Optional[int], int], Tuple[int, int]]
@@ -58,14 +68,18 @@ class Clause(NamedTuple):
 
 
 ClausesFn = Callable[[Optional[int]], List[Clause]]
+# an entry rule as data: (family, start, stride, a0), start an int or a function of r
+RuleRow = Tuple[str, Union[int, Callable[[int], int]], int, int]
 
 
 @dataclass(frozen=True)
 class IdentityCase:
     """One checkable identity over a stated (r, n) domain.
 
-    Fixed cases (parameterized False) run once with r = None; the rest run
-    per accepted r.  clauses(r) is the identity as data, the list of its
+    Fixed cases (parameterized False, over a fixed family) run once with
+    r = None; the rest run per accepted r, and accepts_r is the entry
+    family's order domain from FAMILY_TABLE, narrowed where the paper
+    narrows it.  clauses(r) is the identity as data, the list of its
     clauses at r; it is None only for I-36, whose three points have no entry
     rule.  sweep(r, lo, hi) is the one evaluation path: the (lhs, rhs) pairs
     for n = lo..hi, read from the clauses where there are any.  The rest
@@ -169,58 +183,56 @@ def _case(
     id: str,
     description: str,
     *,
-    rule: Optional[Callable[[Optional[int]], EntryRule]] = None,
+    rule: Optional[RuleRow] = None,
     gf: Optional[SeriesFn] = None,
+    family: Optional[str] = None,
     clauses: Optional[ClausesFn] = None,
     sweep: Optional[SweepFn] = None,
-    r_ok: Optional[Callable[[int], bool]] = None,
+    narrow: Optional[Callable[[int], bool]] = None,
     n_min=1,
     n_cap=None,
 ) -> IdentityCase:
-    """A case from one clause (rule, gf, n_min), from clauses, or from a hand-written sweep."""
+    """A case from one clause (rule row, gf, n_min), from clauses, or from a hand-written sweep.
+
+    The case takes the orders its entry family (the rule row's, else family)
+    takes in FAMILY_TABLE, and of those only the ones narrow accepts.
+    """
     n_min_fn = n_min if callable(n_min) else (lambda r, _v=n_min: _v)
     n_cap_fn = n_cap if callable(n_cap) else (lambda r, _v=n_cap: _v)
+    rule_fn: Optional[Callable[[Optional[int]], EntryRule]] = None
     rhs: Optional[RhsFn] = None
     if rule is not None:
         assert gf is not None
-        clauses = lambda r: [Clause(rule(r), gf(r), n_min_fn(r))]
+        family, start, stride, a0 = rule
+        rule_fn = lambda r: EntryRule(
+            SequenceKind(family, r), start(r) if callable(start) else start, stride, a0
+        )
+        clauses = lambda r: [Clause(rule_fn(r), gf(r), n_min_fn(r))]
         rhs = lambda r, n: gf(r).coefficients(n, n)[0]
     if clauses is not None:
         sweep = partial(_sweep, clauses)
-    assert sweep is not None
+    assert sweep is not None and family is not None
     return IdentityCase(
         id=id,
         description=description,
-        parameterized=r_ok is not None,
-        accepts_r=r_ok if r_ok is not None else (lambda r: False),
+        parameterized=family in PARAMETRIC_FAMILIES,
+        accepts_r=lambda r: order_refusal(family, r) is None and (narrow is None or narrow(r)),
         n_min=n_min_fn,
         n_cap=n_cap_fn,
         sweep=sweep,
         evaluate=lambda r, n: sweep(r, n, n)[0],
         clauses=clauses,
-        rule=rule,
+        rule=rule_fn,
         rhs=rhs,
     )
 
 
-def _trib_rule(start: int, stride: int, a0: int) -> Callable[[Optional[int]], EntryRule]:
-    return lambda r: EntryRule(_TRIB, start, stride, a0)
-
-
-def _gt_rule(start_of: Callable[[int], int], stride: int, a0: int) -> Callable[[Optional[int]], EntryRule]:
-    return lambda r: EntryRule(SequenceKind("gen-tribonacci", r), start_of(r), stride, a0)
-
-
 def _odd(r: int) -> bool:
-    return r >= 3 and r % 2 == 1
+    return r % 2 == 1
 
 
 def _even(r: int) -> bool:
-    return r >= 4 and r % 2 == 0
-
-
-def _any_r(r: int) -> bool:
-    return r >= 3
+    return r % 2 == 0
 
 
 # right sides, one helper per case where a lambda would be unreadable
@@ -286,7 +298,7 @@ def _i34_clauses(r: Optional[int]) -> List[Clause]:
 
 def _sweep_i36(r: Optional[int], lo: int, hi: int) -> List[Tuple[int, int]]:
     """The three fixed identities are the points n = 1, 2, 3."""
-    t = seq_range(_TRIB, 0, 10)
+    t = seq_range(SequenceKind("tribonacci"), 0, 10)
     pairs = [
         (t[2] ** 3 + 2 * t[2] * t[6] + t[4] ** 2 + t[10], 100),
         (t[3] ** 4 - 3 * t[3] ** 2 * t[4] + 2 * t[3] * t[5] + t[4] ** 2 - t[6], 0),
@@ -298,7 +310,7 @@ def _sweep_i36(r: Optional[int], lo: int, hi: int) -> List[Tuple[int, int]]:
             - 2 * t[2] * t[5]
             - 2 * t[3] * t[4]
             + t[6],
-            seq_term(_PAD, 7),
+            seq_term(SequenceKind("padovan"), 7),
         ),
     ]
     return pairs[lo - 1 : hi]
@@ -309,7 +321,7 @@ def registry() -> List[IdentityCase]:
     i04 = _case(
         "I-04",
         "even-indexed tribonacci entries with a0 = -1: closed form via c(n) = 3c(n-1) + 2c(n-2)",
-        rule=_trib_rule(0, 2, -1),
+        rule=("tribonacci", 0, 2, -1),
         # c(2) = 1, c(3) = 2, then c(n) = 3c(n-1) + 2c(n-2)
         gf=lambda r: CFinite.from_head((1, -3, -2), (1, 2)).shift(2),
         n_min=2,
@@ -317,7 +329,7 @@ def registry() -> List[IdentityCase]:
     i13 = _case(
         "I-13",
         "odd-indexed tribonacci entries from index 5: constant 4",
-        rule=_trib_rule(5, 2, 1),
+        rule=("tribonacci", 5, 2, 1),
         gf=lambda r: CFinite((4,), (1, -1)),
         n_min=3,
     )
@@ -325,20 +337,20 @@ def registry() -> List[IdentityCase]:
         _case(
             "I-01",
             "tribonacci entries from index 0: signed Fibonacci value",
-            rule=_trib_rule(0, 1, 1),
+            rule=("tribonacci", 0, 1, 1),
             gf=lambda r: _twist(_fam("fibonacci").shift(2)),
             n_min=2,
         ),
         _case(
             "I-02",
             "tribonacci entries from index 2: signed Padovan value",
-            rule=_trib_rule(2, 1, 1),
+            rule=("tribonacci", 2, 1, 1),
             gf=lambda r: _twist(_fam("padovan").shift(-2)),
         ),
         _case(
             "I-03",
             "tribonacci entries with a0 = -1: floor((2^n + 6) / 14)",
-            rule=_trib_rule(0, 1, -1),
+            rule=("tribonacci", 0, 1, -1),
             # 2^n mod 14 has period 3 from n = 1, so (1 - 2x)(1 - x^3)
             # annihilates the floor from n = 5
             gf=lambda r: _printed((1, -2, 0, -1, 2), lambda n: (2**n + 6) // 14, 5),
@@ -347,14 +359,14 @@ def registry() -> List[IdentityCase]:
         _case(
             "I-05",
             "tribonacci entries from index 1: signed sum of C(n-2-2i, i)",
-            rule=_trib_rule(1, 1, 1),
+            rule=("tribonacci", 1, 1, 1),
             # f(n-2), f(m) = sum_i C(m-2i, i); the empty sum f(-1) = 0 serves n = 1
             gf=lambda r: _twist(_tiling(3, 1).shift(2)),
         ),
         _case(
             "I-06",
             "tribonacci entries from index 1 with a0 = -1: sum of C(2n-4-2i, i)",
-            rule=_trib_rule(1, 1, -1),
+            rule=("tribonacci", 1, 1, -1),
             # f(2n-4), f(m) = sum_i C(m-2i, i): the even half of x^4 f
             gf=lambda r: _tiling(3, 1).shift(4).multisect(2),
             n_min=2,
@@ -362,7 +374,7 @@ def registry() -> List[IdentityCase]:
         _case(
             "I-07",
             "odd-indexed tribonacci entries from index 1: signed floor(4 * 3^(n-3))",
-            rule=_trib_rule(1, 2, 1),
+            rule=("tribonacci", 1, 2, 1),
             # geometric with ratio 3 from n = 3
             gf=lambda r: _twist(
                 _printed((1, -3), lambda n: 4 * 3 ** (n - 3) if n >= 3 else 4 // 3 ** (3 - n), 4)
@@ -371,14 +383,14 @@ def registry() -> List[IdentityCase]:
         _case(
             "I-08",
             "tribonacci entries from index 3: identically zero from n = 4",
-            rule=_trib_rule(3, 1, 1),
+            rule=("tribonacci", 3, 1, 1),
             gf=lambda r: CFinite(()),
             n_min=4,
         ),
         _case(
             "I-09",
             "odd-indexed tribonacci entries from index 3: signed power-of-two binomial sum",
-            rule=_trib_rule(3, 2, 1),
+            rule=("tribonacci", 3, 2, 1),
             # even and odd i split the sum into A(n-1) + A(n-2), where
             # A(m) = sum_j 2^(m-3j) C(m-2j, j) obeys A(m) = 2A(m-1) + A(m-3); so does the sum
             gf=lambda r: _twist(_printed((1, -2, 0, -1), _sum_i09, 3)),
@@ -386,7 +398,7 @@ def registry() -> List[IdentityCase]:
         _case(
             "I-10",
             "tribonacci entries from index 4: period-3 pattern of 0 and +-1",
-            rule=_trib_rule(4, 1, 1),
+            rule=("tribonacci", 4, 1, 1),
             # (-1)^n, (-1)^(n+1), 0 by n mod 3, so v(n) = -v(n-3)
             gf=lambda r: _printed((1, 0, 0, 1), lambda n: (_neg1(n), _neg1(n + 1), 0)[n % 3], 3),
             n_min=2,
@@ -394,14 +406,14 @@ def registry() -> List[IdentityCase]:
         _case(
             "I-11",
             "even-indexed tribonacci entries from index 4: 4 up to alternating sign",
-            rule=_trib_rule(4, 2, 1),
+            rule=("tribonacci", 4, 2, 1),
             gf=lambda r: _twist(CFinite((4,), (1, -1))),
             n_min=3,
         ),
         _case(
             "I-12",
             "tribonacci entries from index 5: sum of C(n+2+i, n+1-2i)",
-            rule=_trib_rule(5, 1, 1),
+            rule=("tribonacci", 5, 1, 1),
             # g(m) = sum_i C(m+i, m-1-2i) at m = n + 2: g(m) = 3g(m-1) - 2g(m-2) + g(m-3)
             gf=lambda r: _printed(
                 (1, -3, 2, -1),
@@ -413,47 +425,42 @@ def registry() -> List[IdentityCase]:
         _case(
             "I-14",
             "order-r tribonacci entries from index 0: signed Fibonacci value",
-            rule=_gt_rule(lambda r: 0, 1, 1),
+            rule=("gen-tribonacci", 0, 1, 1),
             gf=lambda r: _twist(_fam("fibonacci").shift(r - 1)),
-            r_ok=_any_r,
             n_min=lambda r: r - 1,
         ),
         _case(
             "I-15",
             "order-r tribonacci entries from index r-2: signed square-and-r-mino count",
-            rule=_gt_rule(lambda r: r - 2, 1, 1),
+            rule=("gen-tribonacci", lambda r: r - 2, 1, 1),
             gf=lambda r: _twist(_fam("square-rmino", r).shift(2)),
-            r_ok=_any_r,
             n_min=2,
         ),
         _case(
             "I-16",
             "order-r tribonacci entries from index r-1: signed order-r Padovan value",
-            rule=_gt_rule(lambda r: r - 1, 1, 1),
+            rule=("gen-tribonacci", lambda r: r - 1, 1, 1),
             gf=lambda r: _twist(_fam("gen-padovan", r).shift(1 - r)),
-            r_ok=_any_r,
         ),
         _case(
             "I-17",
             "order-r tribonacci entries from index r: signed indicator of n = r",
-            rule=_gt_rule(lambda r: r, 1, 1),
+            rule=("gen-tribonacci", lambda r: r, 1, 1),
             gf=lambda r: _twist(_x(r)),
-            r_ok=_any_r,
             n_min=3,
         ),
         _case(
             "I-18",
             "order-r tribonacci entries from index r+1: alternating sum of C(n-(r-2)i, i)",
-            rule=_gt_rule(lambda r: r + 1, 1, 1),
+            rule=("gen-tribonacci", lambda r: r + 1, 1, 1),
             # the sign (-1)^(ri) is the weight (-1)^r per (r-1)-mino
             gf=lambda r: _tiling(r - 1, _neg1(r)),
-            r_ok=_any_r,
             n_min=2,
         ),
         _case(
             "I-19",
             "odd-indexed order-r entries from index r+1: 4 up to sign (odd r), binomial sum with boundary terms (even r)",
-            rule=_gt_rule(lambda r: r + 1, 2, 1),
+            rule=("gen-tribonacci", lambda r: r + 1, 2, 1),
             # even r: u(n-1), u(m) = sum_i C(m-(r/2-1)i, i), plus the boundary
             # tilings the sum misses: all-dominoes (n = 1) and the single long
             # piece (2n = r)
@@ -462,72 +469,69 @@ def registry() -> List[IdentityCase]:
                 if r % 2 == 1
                 else _tiling(r // 2, 1).shift(1) + _x(1) + _x(r // 2)
             ),
-            r_ok=_any_r,
             n_min=lambda r: r if r % 2 == 1 else 1,
         ),
         _case(
             "I-19b",
             "odd-indexed order-r entries from index r+1, n below r: 1 or 3 up to sign",
-            rule=_gt_rule(lambda r: r + 1, 2, 1),
+            rule=("gen-tribonacci", lambda r: r + 1, 2, 1),
             # constant from n = (r+1)/2
             gf=lambda r: _twist(
                 _printed((1, -1), lambda n: 3 if n >= (r + 1) // 2 else 1, (r + 3) // 2)
             ),
-            r_ok=_odd,
+            narrow=_odd,
             n_min=2,
             n_cap=lambda r: r - 1,
         ),
         _case(
             "I-20",
             "odd-indexed order-r entries from index 1, odd r: signed auxiliary three-term sequence",
-            rule=_gt_rule(lambda r: 1, 2, 1),
+            rule=("gen-tribonacci", 1, 2, 1),
             gf=_gf_i20_i21,
-            r_ok=_odd,
+            narrow=_odd,
         ),
         _case(
             "I-21",
             "odd-indexed order-r entries from index 1, even r: signed auxiliary four-term sequence",
-            rule=_gt_rule(lambda r: 1, 2, 1),
+            rule=("gen-tribonacci", 1, 2, 1),
             gf=_gf_i20_i21,
-            r_ok=_even,
+            narrow=_even,
         ),
         _case(
             "I-22",
             "odd-indexed order-r entries from index 1: signed series coefficient",
-            rule=_gt_rule(lambda r: 1, 2, 1),
+            rule=("gen-tribonacci", 1, 2, 1),
             gf=lambda r: _twist(gf_catalog("i22", r)),
-            r_ok=_any_r,
         ),
         _case(
             "I-23",
             "odd-indexed order-r entries from index r: signed series coefficient (odd r) or half-order convolution (even r)",
-            rule=_gt_rule(lambda r: r, 2, 1),
+            rule=("gen-tribonacci", lambda r: r, 2, 1),
             gf=_gf_i23,
-            r_ok=_any_r,
         ),
         _case(
             "I-24",
             "odd-indexed tribonacci entries from index 3: series coefficient of (x - x^2) / (1 + 2x + x^3)",
-            rule=_trib_rule(3, 2, 1),
+            rule=("tribonacci", 3, 2, 1),
             gf=lambda r: gf_catalog("i24", 3),
         ),
         _case(
             "I-25",
             "odd-indexed order-r entries from index r+2, odd r >= 7: residue-class sign pattern",
-            rule=_gt_rule(lambda r: r + 2, 2, 1),
+            rule=("gen-tribonacci", lambda r: r + 2, 2, 1),
             gf=_gf_i25,
-            r_ok=lambda r: r >= 7 and r % 2 == 1,
+            narrow=lambda r: r >= 7 and r % 2 == 1,
             n_min=lambda r: (r + 3) // 2,
         ),
         _case(
             "I-26",
             "odd-indexed order-5 entries from index 7: zero at even n, +-2 at odd n",
-            rule=_gt_rule(lambda r: r + 2, 2, 1),
+            rule=("gen-tribonacci", lambda r: r + 2, 2, 1),
             # v(n) = -v(n-2)
             gf=lambda r: _printed(
                 (1, 0, 1), lambda n: 0 if n % 2 == 0 else 2 * _neg1((n - 1) // 2), 2
             ),
-            r_ok=lambda r: r == 5,
+            narrow=lambda r: r == 5,
             n_min=4,
         ),
         # I-27 restates I-13: the same rule and right side
@@ -539,28 +543,25 @@ def registry() -> List[IdentityCase]:
         _case(
             "I-28",
             "even-indexed order-r entries from index 0: series coefficient",
-            rule=_gt_rule(lambda r: 0, 2, 1),
+            rule=("gen-tribonacci", 0, 2, 1),
             gf=lambda r: gf_catalog("i28", r),
-            r_ok=_any_r,
         ),
         _case(
             "I-29",
             "even-indexed order-r entries from index 0 with a0 = -1: series coefficient",
-            rule=_gt_rule(lambda r: 0, 2, -1),
+            rule=("gen-tribonacci", 0, 2, -1),
             gf=lambda r: gf_catalog("i29", r),
-            r_ok=_any_r,
         ),
         _case(
             "I-30",
             "order-r entries from index r+2: series coefficient",
-            rule=_gt_rule(lambda r: r + 2, 1, 1),
+            rule=("gen-tribonacci", lambda r: r + 2, 1, 1),
             gf=lambda r: gf_catalog("i30", r),
-            r_ok=_any_r,
         ),
         _case(
             "I-31",
             "even-indexed tribonacci entries from index 0: signed difference of weighted binomial sums",
-            rule=_trib_rule(0, 2, 1),
+            rule=("tribonacci", 0, 2, 1),
             # a(n-2) - a(n-3), a(m) = sum_i C(m-2i, i) 2^i 3^(m-3i)
             gf=lambda r: _twist(_tiling(3, 2, 3) * CFinite((0, 0, 1, -1))),
             n_min=3,
@@ -568,18 +569,15 @@ def registry() -> List[IdentityCase]:
         _case(
             "I-32",
             "skip-tribonacci entries with a0 = -1: sum of C(2n-r-1-(r-1)i, i)",
-            rule=lambda r: EntryRule(
-                SequenceKind("skip-tribonacci", r), (r - 1) // 2, 1, -1
-            ),
+            rule=("skip-tribonacci", lambda r: (r - 1) // 2, 1, -1),
             # v(2n-r-1), v(M) = sum_i C(M-(r-1)i, i): the even half of x^(r+1) v
             gf=lambda r: _tiling(r, 1).shift(r + 1).multisect(2),
-            r_ok=_odd,
             n_min=lambda r: (r + 1) // 2,
         ),
         _case(
             "I-33",
             "r-step Fibonacci entries with a0 = -1: floor((2^n + 2^r - 2) / (2^(r+1) - 2))",
-            rule=lambda r: EntryRule(SequenceKind("k-step-fibonacci", r), 0, 1, -1),
+            rule=("k-step-fibonacci", 0, 1, -1),
             # 2^n mod (2^(r+1) - 2) has period r from n = 1, so
             # (1 - 2x)(1 - x^r) annihilates the floor from n = r + 2
             gf=lambda r: _printed(
@@ -587,13 +585,12 @@ def registry() -> List[IdentityCase]:
                 lambda n: (2**n + 2**r - 2) // (2 ** (r + 1) - 2),
                 r + 2,
             ),
-            r_ok=lambda r: r >= 2,
         ),
         _case(
             "I-34",
             "r-step Fibonacci entries: signed (r-1)-step value and signed spaced-piece count, two clauses",
+            family="k-step-fibonacci",
             clauses=_i34_clauses,
-            r_ok=lambda r: r >= 2,
         ),
         # I-35 restates I-04: the same rule and right side
         dataclasses.replace(
@@ -604,28 +601,13 @@ def registry() -> List[IdentityCase]:
         _case(
             "I-36",
             "three fixed polynomial identities in tribonacci terms: 100, 0, and a Padovan value",
+            family="tribonacci",
             sweep=_sweep_i36,
             n_cap=3,
         ),
     ]
     assert [c.id for c in cases] == sorted(c.id for c in cases)
     return cases
-
-
-def _n_range(case: IdentityCase, r: Optional[int], n_max: int) -> range:
-    """The in-domain n <= n_max of case at r; empty when r is outside its domain."""
-    if case.parameterized != (r is not None) or (r is not None and not case.accepts_r(r)):
-        return range(0)
-    cap = case.n_cap(r)
-    return range(case.n_min(r), (n_max if cap is None else min(n_max, cap)) + 1)
-
-
-def check_identity(case: IdentityCase, r: Optional[int], n: int) -> IdentityReport:
-    """Evaluate one case at one point; out-of-domain points raise."""
-    if n not in _n_range(case, r, n):
-        raise ValueError("(r=%r, n=%d) is outside the domain of %s" % (r, n, case.id))
-    lhs, rhs = case.sweep(r, n, n)[0]
-    return IdentityReport(case.id, r, n, lhs, rhs, lhs == rhs)
 
 
 def check_sweeps(
@@ -657,7 +639,10 @@ def check_sweeps(
         cases = [c for c in cases if c.id in wanted]
     for case in cases:
         for r in sorted(set(r_set)) if case.parameterized else [None]:
-            ns = _n_range(case, r, n_max)
+            if r is not None and not case.accepts_r(r):
+                continue
+            cap = case.n_cap(r)
+            ns = range(case.n_min(r), (n_max if cap is None else min(n_max, cap)) + 1)
             if not ns:
                 continue
             reports = [

@@ -1,7 +1,9 @@
 """Integer sequence families defined by linear recurrences over small seeds.
 
 FAMILY_TABLE is the one place each family is described: the orders r it
-accepts, its seed block and its recurrence lags.  Term n past the seeds is
+accepts, its seed block and its recurrence lags.  order_refusal reads the
+orders as the one order rule, which SequenceKind raises and the identity
+registry takes as each case's order domain.  Term n past the seeds is
 the sum of the terms n - lag; read as piece lengths, the same lags give the
 family's strip tilings (tilings.pieces_for), and as a polynomial they give
 the denominator of the family's series (family_series).  terms_at is the
@@ -59,6 +61,27 @@ FIXED_FAMILIES = tuple(f for f in FAMILIES if FAMILY_TABLE[f].min_r is None)
 PARAMETRIC_FAMILIES = tuple(f for f in FAMILIES if f not in FIXED_FAMILIES)
 
 
+def order_refusal(family: str, r: Optional[int]) -> Optional[str]:
+    """Why family refuses the order r, or None when it takes r; fixed families take only None.
+
+    The one statement of the order rule: FAMILY_TABLE's min_r and odd_only,
+    and MAX_R above every family.
+    """
+    fam = FAMILY_TABLE.get(family)
+    if fam is None:
+        return "unknown sequence family %r" % (family,)
+    if fam.min_r is None:
+        return None if r is None else "family %r takes no r parameter" % (family,)
+    if r is None:
+        return "family %r requires r" % (family,)
+    if r < fam.min_r or (fam.odd_only and r % 2 == 0):
+        odd = "odd " if fam.odd_only else ""
+        return "%s requires %sr >= %d, got %d" % (family, odd, fam.min_r, r)
+    if r > MAX_R:
+        return "%s requires r <= MAX_R = %d, got %d" % (family, MAX_R, r)
+    return None
+
+
 @dataclass(frozen=True)
 class SequenceKind:
     """Family tag plus the order parameter r for parameterized families."""
@@ -67,21 +90,9 @@ class SequenceKind:
     r: Optional[int] = None
 
     def __post_init__(self) -> None:
-        fam, r = FAMILY_TABLE.get(self.family), self.r
-        if fam is None:
-            raise ValueError("unknown sequence family %r" % (self.family,))
-        if fam.min_r is None:
-            if r is not None:
-                raise ValueError("family %r takes no r parameter" % (self.family,))
-        elif r is None:
-            raise ValueError("family %r requires r" % (self.family,))
-        elif r < fam.min_r or (fam.odd_only and r % 2 == 0):
-            raise ValueError(
-                "%s requires %sr >= %d, got %d"
-                % (self.family, "odd " if fam.odd_only else "", fam.min_r, r)
-            )
-        elif r > MAX_R:
-            raise ValueError("%s requires r <= MAX_R = %d, got %d" % (self.family, MAX_R, r))
+        refusal = order_refusal(self.family, self.r)
+        if refusal is not None:
+            raise ValueError(refusal)
 
 
 def seeds_and_lags(kind: SequenceKind) -> Tuple[List[int], List[int]]:

@@ -135,6 +135,8 @@ class CFinite:
         division.  The output is allocated first, so an oversized hi fails
         before any term is computed.
         """
+        if lo < 0:
+            raise ValueError("coefficient index must be nonnegative, got %d" % lo)
         num = self.num
         coeffs = [0] * (hi + 1)
         order = len(self.den) - 1
@@ -154,6 +156,8 @@ class CFinite:
         and halves n.  The denominator keeps constant term 1, so nothing is
         divided; over den = 1 the numerator can run out, and c_n is then 0.
         """
+        if n < 0:
+            raise ValueError("coefficient index must be nonnegative, got %d" % n)
         num, den = self.num, self.den
         while n:
             twin = [c if i % 2 == 0 else -c for i, c in enumerate(den)]

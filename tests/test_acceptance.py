@@ -14,7 +14,6 @@ from tridet import (
     IdentityCase,
     SequenceKind,
     check_all,
-    check_identity,
     count_tilings,
     det_dense,
     det_prefixes,
@@ -68,9 +67,9 @@ def test_criterion_2_worked_example_values(criterion):
         case = {c.id: c for c in registry()}["I-36"]
         values = []
         for n in (1, 2, 3):
-            report = check_identity(case, None, n)
-            assert report.passed
-            values.append(report.rhs)
+            (lhs, rhs), = case.sweep(None, n, n)
+            assert lhs == rhs
+            values.append(rhs)
         assert values == [100, 0, 1]
         assert values[2] == seq_term(SequenceKind("padovan"), 7)
 
@@ -172,13 +171,13 @@ def test_criterion_7_explicit_formula_crosschecks(criterion):
                 assert square_rmino_closed(r, m) == seq_term(kind, m)
         cases = {c.id: c for c in registry()}
         for n in range(1, 25):
-            a = check_identity(cases["I-09"], None, n)
-            b = check_identity(cases["I-24"], None, n)
-            assert a.passed and b.passed and a.rhs == b.rhs
+            (a_lhs, a_rhs), = cases["I-09"].sweep(None, n, n)
+            (b_lhs, b_rhs), = cases["I-24"].sweep(None, n, n)
+            assert a_lhs == a_rhs == b_lhs == b_rhs
         for n in range(3, 25):
-            a = check_identity(cases["I-13"], None, n)
-            b = check_identity(cases["I-27"], None, n)
-            assert a.passed and b.passed and a.rhs == b.rhs
+            (a_lhs, a_rhs), = cases["I-13"].sweep(None, n, n)
+            (b_lhs, b_rhs), = cases["I-27"].sweep(None, n, n)
+            assert a_lhs == a_rhs == b_lhs == b_rhs
 
 
 def test_criterion_8_floor_formulas(criterion):

@@ -72,14 +72,11 @@ def test_spec_validation():
         EntryRule(SequenceKind("fibonacci"), 0, 1, 0)
 
 
-def test_rule_kind_accepts_family_name_string():
-    rule = EntryRule("tribonacci", 3, 2, 1)
-    assert rule.kind == SequenceKind("tribonacci")
-    assert make_entries(rule, 4).entries == (1, 4, 13, 44)
-    with pytest.raises(ValueError):
-        EntryRule("gen-tribonacci", 1, 1, 1)  # parameterized name needs r
-    with pytest.raises(TypeError):
-        EntryRule(7, 1, 1, 1)
+def test_rule_kind_must_be_a_sequence_kind():
+    # a family name is not a kind: a parameterized family would still need r
+    for kind in ("tribonacci", "gen-tribonacci", 7):
+        with pytest.raises(TypeError, match="kind must be a SequenceKind$"):
+            EntryRule(kind, 1, 1, 1)
 
 
 def test_make_entries_strided():

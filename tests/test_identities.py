@@ -16,7 +16,6 @@ from tridet import (
     SequenceKind,
     binomial,
     check_all,
-    check_identity,
     check_sweeps,
     det_gf,
     det_prefixes,
@@ -55,25 +54,61 @@ def test_registry_lookup_fields():
     assert case.n_min(4) == 3
 
 
+# The order predicates the parameterized cases stated by hand before each
+# case's order domain came from its entry family's row of FAMILY_TABLE,
+# kept as a reference; the cases not listed are fixed.
+def _odd_from_three(r):
+    return r >= 3 and r % 2 == 1
+
+
+_REFERENCE_ORDERS = {
+    **dict.fromkeys(
+        ("I-14", "I-15", "I-16", "I-17", "I-18", "I-19", "I-22", "I-23", "I-28", "I-29", "I-30"),
+        lambda r: r >= 3,
+    ),
+    "I-19b": _odd_from_three,
+    "I-20": _odd_from_three,
+    "I-21": lambda r: r >= 4 and r % 2 == 0,
+    "I-25": lambda r: r >= 7 and r % 2 == 1,
+    "I-26": lambda r: r == 5,
+    "I-32": _odd_from_three,
+    "I-33": lambda r: r >= 2,
+    "I-34": lambda r: r >= 2,
+}
+
+
+def test_order_domains_match_the_reference_predicates():
+    # at every r up to MAX_R; above it no family, so no case, takes an order
+    orders = range(-2, MAX_R + 1)
+    for case in registry():
+        reference = _REFERENCE_ORDERS.get(case.id)
+        assert case.parameterized == (reference is not None), case.id
+        accepted = [r for r in orders if case.accepts_r(r)]
+        assert accepted == [r for r in orders if reference is not None and reference(r)], case.id
+        assert not case.accepts_r(MAX_R + 1), case.id
+        if case.rule is not None:
+            for r in accepted if case.parameterized else [None]:
+                assert isinstance(case.rule(r), EntryRule), (case.id, r)
+
+
 def test_frozen_spot_values():
     cases = _by_id()
-    assert check_identity(cases["I-01"], None, 7).lhs == 5
-    assert check_identity(cases["I-03"], None, 1).lhs == 0
-    assert check_identity(cases["I-26"], 5, 5).lhs == 2
-    assert check_identity(cases["I-26"], 5, 4).lhs == 0
+
+    def lhs(cid, r, n):
+        return cases[cid].sweep(r, n, n)[0][0]
+
+    assert lhs("I-01", None, 7) == 5
+    assert lhs("I-03", None, 1) == 0
+    assert lhs("I-26", 5, 5) == 2
+    assert lhs("I-26", 5, 4) == 0
     # boundary behavior of the even-order small-n cases
-    assert [check_identity(cases["I-19"], 4, n).lhs for n in range(1, 6)] == [
-        2, -2, 2, -3, 5,
-    ]
-    assert [check_identity(cases["I-19"], 6, n).lhs for n in range(1, 6)] == [
-        2, -1, 2, -2, 3,
-    ]
-    assert check_identity(cases["I-19b"], 3, 2).lhs == -3
-    assert [check_identity(cases["I-19b"], 5, n).lhs for n in (2, 3, 4)] == [-1, 3, -3]
+    assert [lhs("I-19", 4, n) for n in range(1, 6)] == [2, -2, 2, -3, 5]
+    assert [lhs("I-19", 6, n) for n in range(1, 6)] == [2, -1, 2, -2, 3]
+    assert lhs("I-19b", 3, 2) == -3
+    assert [lhs("I-19b", 5, n) for n in (2, 3, 4)] == [-1, 3, -3]
     # the three fixed polynomial evaluations
     for n, value in ((1, 100), (2, 0), (3, 1)):
-        report = check_identity(cases["I-36"], None, n)
-        assert report.passed and report.rhs == value
+        assert cases["I-36"].sweep(None, n, n)[0] == (value, value)
 
 
 def test_every_spot_check_passes():
@@ -83,11 +118,12 @@ def test_every_spot_check_passes():
         ("I-25", 7, 8), ("I-26", 5, 6), ("I-34", 2, 9), ("I-36", None, 2),
     ]
     for cid, r, n in spots:
-        assert check_identity(cases[cid], r, n).passed
+        (lhs, rhs), = cases[cid].sweep(r, n, n)
+        assert lhs == rhs, (cid, r, n)
 
 
 def test_out_of_domain_points_are_refused():
-    cases = _by_id()
+    # n_max = n, so each point lies in the sweep's n range unless its domain drops it
     bad = [
         ("I-01", None, 1),  # below the start of the claim
         ("I-01", 3, 2),     # fixed case takes no order
@@ -98,8 +134,13 @@ def test_out_of_domain_points_are_refused():
         ("I-19b", 5, 5),    # capped below the order
     ]
     for cid, r, n in bad:
-        with pytest.raises(ValueError):
-            check_identity(cases[cid], r, n)
+        sweeps = check_sweeps(r_set=(3 if r is None else r,), n_max=n, ids=[cid])
+        if r is not None and r < 2:
+            # below every family's smallest order: refused outright
+            with pytest.raises(ValueError, match="below the smallest order 2$"):
+                next(sweeps)
+            continue
+        assert (r, n) not in {(rep.r, rep.n) for sweep in sweeps for rep in sweep}, (cid, r, n)
 
 
 def test_check_all_default_sweep_is_clean():
@@ -181,11 +222,9 @@ def test_same_sequence_routes_agree():
     ]
     for left_id, right_id, r_left, r_right, ns in pairs:
         for n in ns:
-            left = check_identity(cases[left_id], r_left, n)
-            right = check_identity(cases[right_id], r_right, n)
-            assert left.passed and right.passed
-            assert left.lhs == right.lhs
-            assert left.rhs == right.rhs
+            left = cases[left_id].sweep(r_left, n, n)[0]
+            right = cases[right_id].sweep(r_right, n, n)[0]
+            assert left[0] == left[1] and left == right, (left_id, right_id, n)
     # the restated cases share one definition, not two copies
     for left_id, right_id in (("I-13", "I-27"), ("I-04", "I-35")):
         assert cases[left_id].rule is cases[right_id].rule
@@ -198,10 +237,10 @@ def test_series_route_matches_recurrence_route():
     for r in range(3, 9):
         other = cases["I-20"] if r % 2 == 1 else cases["I-21"]
         for n in range(1, 21):
-            series = check_identity(cases["I-22"], r, n)
-            direct = check_identity(other, r, n)
-            assert series.passed and direct.passed
-            assert series.rhs == direct.rhs
+            series = cases["I-22"].sweep(r, n, n)[0]
+            direct = other.sweep(r, n, n)[0]
+            assert series[0] == series[1] and direct[0] == direct[1]
+            assert series[1] == direct[1]
 
 
 def test_residue_branch_discriminator():
@@ -251,7 +290,8 @@ def test_random_in_domain_points_pass(data):
     if hi < lo:
         return
     n = data.draw(st.integers(lo, hi))
-    assert check_identity(case, r, n).passed
+    (lhs, rhs), = case.sweep(r, n, n)
+    assert lhs == rhs
 
 
 def test_single_point_views_agree_with_the_sweep():

@@ -58,6 +58,18 @@ def test_one_term_read_matches_the_expansion(num, den_tail):
     assert [gf.at(n) for n in range(41)] == [gf.coefficients(n, n)[0] for n in range(41)]
 
 
+def test_one_term_read_refuses_a_negative_index():
+    # the halving's n //= 2 stays at -1, so it would never end
+    with pytest.raises(ValueError, match="nonnegative, got -1$"):
+        CFinite.from_head((1, -1, -1), (0, 1)).at(-1)
+
+
+def test_expansion_refuses_a_negative_low_index():
+    # coeffs[lo:] would read the tail of the list: [1, 2] for Fibonacci at (-2, 3)
+    with pytest.raises(ValueError, match="nonnegative, got -2$"):
+        CFinite.from_head((1, -1, -1), (0, 1)).coefficients(-2, 3)
+
+
 def _naive_product(f, g):
     out = [0] * (len(f) + len(g) - 1) if f and g else []
     for i, a in enumerate(f):
