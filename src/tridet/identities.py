@@ -7,10 +7,10 @@ from a left side's series: a family's series shifted, a tiling sum's
 1 / (1 - s x - w x^k), a catalog entry, or a closed, floor or periodic
 form given by its denominator and its first printed values (_printed).
 The comment next to each case is the derivation from the printed formula
-to the declared series.  Each case but I-36 is a list of clauses at r
-(Clause: an entry rule, its declared series and the first n it covers);
-most have one, whose entry rule is declared as the data row (family,
-start, stride, a0), and I-34 has two.  A case takes the orders r its
+to the declared series.  Each case but I-36 is data: its clause rows
+(entry rule row (family, start, stride, a0), series, first n), one for
+most cases and two for I-34, which _case reads at r into Clauses; only
+I-36, a hand-written sweep, names its family.  A case takes the orders r its
 entry family takes in sequences.FAMILY_TABLE (read through
 order_refusal), narrowed only where the paper narrows them: I-19b, I-20,
 I-21, I-25 and I-26.  Every case is evaluated one way, by its sweep: the
@@ -59,7 +59,8 @@ SeriesFn = Callable[[Optional[int]], CFinite]
 class Clause(NamedTuple):
     """det(M_n) over rule equals coefficient n of gf for every n >= first.
 
-    The case's n_cap, where it has one, still bounds n (I-19b).
+    A clause has no last n, by choice: I-19b, true only below a bound, states
+    it as its case's n_cap, and a reader of clauses bounds n by case.n_cap(r).
     """
 
     rule: EntryRule
@@ -68,8 +69,10 @@ class Clause(NamedTuple):
 
 
 ClausesFn = Callable[[Optional[int]], List[Clause]]
-# an entry rule as data: (family, start, stride, a0), start an int or a function of r
-RuleRow = Tuple[str, Union[int, Callable[[int], int]], int, int]
+# rows read at r by _at: an entry rule (family, start, stride, a0), a clause (rule row, gf, first)
+IntAt = Union[int, Callable[[int], int]]
+RuleRow = Tuple[str, IntAt, int, int]
+ClauseRow = Tuple[RuleRow, SeriesFn, IntAt]
 
 
 @dataclass(frozen=True)
@@ -179,38 +182,44 @@ def _sweep(clauses: ClausesFn, r: Optional[int], lo: int, hi: int) -> List[Tuple
     return out
 
 
+def _at(value, r: Optional[int]):
+    """value, or value(r) where it is a function of r: start, first and n_cap."""
+    return value(r) if callable(value) else value
+
+
 def _case(
     id: str,
     description: str,
     *,
     rule: Optional[RuleRow] = None,
     gf: Optional[SeriesFn] = None,
+    n_min: IntAt = 1,
+    clauses: Optional[List[ClauseRow]] = None,
     family: Optional[str] = None,
-    clauses: Optional[ClausesFn] = None,
     sweep: Optional[SweepFn] = None,
     narrow: Optional[Callable[[int], bool]] = None,
-    n_min=1,
-    n_cap=None,
+    n_cap: Optional[IntAt] = None,
 ) -> IdentityCase:
-    """A case from one clause (rule row, gf, n_min), from clauses, or from a hand-written sweep.
+    """A case from clause rows (rule, gf and n_min spell one), or from a sweep over family.
 
-    The case takes the orders its entry family (the rule row's, else family)
-    takes in FAMILY_TABLE, and of those only the ones narrow accepts.
+    The case takes the orders its entry family takes in FAMILY_TABLE, and of
+    those only the ones narrow accepts; n_min(r) is the rows' smallest first.
     """
-    n_min_fn = n_min if callable(n_min) else (lambda r, _v=n_min: _v)
-    n_cap_fn = n_cap if callable(n_cap) else (lambda r, _v=n_cap: _v)
-    rule_fn: Optional[Callable[[Optional[int]], EntryRule]] = None
-    rhs: Optional[RhsFn] = None
-    if rule is not None:
-        assert gf is not None
-        family, start, stride, a0 = rule
-        rule_fn = lambda r: EntryRule(
-            SequenceKind(family, r), start(r) if callable(start) else start, stride, a0
-        )
-        clauses = lambda r: [Clause(rule_fn(r), gf(r), n_min_fn(r))]
-        rhs = lambda r, n: gf(r).coefficients(n, n)[0]
-    if clauses is not None:
-        sweep = partial(_sweep, clauses)
+    rows = [(rule, gf, n_min)] if rule is not None else clauses
+    clauses_fn = rule_fn = rhs = None
+    n_min_fn = lambda r: 1
+    if rows is not None:
+        (family,) = {row[0] for row, _, _ in rows}
+        entry = lambda row, r: EntryRule(SequenceKind(family, r), _at(row[1], r), *row[2:])
+        clauses_fn = lambda r: [
+            Clause(entry(row, r), fn(r), _at(first, r)) for row, fn, first in rows
+        ]
+        sweep = partial(_sweep, clauses_fn)
+        n_min_fn = lambda r: min(_at(first, r) for _, _, first in rows)
+        if len(rows) == 1:
+            ((row, fn, _),) = rows
+            rule_fn = partial(entry, row)
+            rhs = lambda r, n: fn(r).coefficients(n, n)[0]
     assert sweep is not None and family is not None
     return IdentityCase(
         id=id,
@@ -218,21 +227,13 @@ def _case(
         parameterized=family in PARAMETRIC_FAMILIES,
         accepts_r=lambda r: order_refusal(family, r) is None and (narrow is None or narrow(r)),
         n_min=n_min_fn,
-        n_cap=n_cap_fn,
+        n_cap=lambda r: _at(n_cap, r),
         sweep=sweep,
         evaluate=lambda r, n: sweep(r, n, n)[0],
-        clauses=clauses,
+        clauses=clauses_fn,
         rule=rule_fn,
         rhs=rhs,
     )
-
-
-def _odd(r: int) -> bool:
-    return r % 2 == 1
-
-
-def _even(r: int) -> bool:
-    return r % 2 == 0
 
 
 # right sides, one helper per case where a lambda would be unreadable
@@ -281,23 +282,15 @@ def _gf_i25(r: int) -> CFinite:
     return CFinite.from_head([1] + [0] * (m - 1) + [_neg1(m)], [1, 2, 1] + [0] * (m - 3))
 
 
-def _i34_clauses(r: Optional[int]) -> List[Clause]:
-    """The two clauses of I-34 at r, each with its own entry rule."""
-    assert r is not None
-    ksf = SequenceKind("k-step-fibonacci", r)
-    # the (r-1)-step count; at r = 2 the one-step count, one all-squares
-    # tiling of every length
-    shorter = _fam("k-step-fibonacci", r - 1) if r > 2 else CFinite((1,), (1, -1))
-    return [
-        # signed (r-1)-step value at n - 2
-        Clause(EntryRule(ksf, 0, 1, 1), _twist(shorter.shift(2)), r - 1),
-        # signed spaced-piece count at n + r - 1
-        Clause(EntryRule(ksf, r - 1, 1, 1), _twist(_fam("q-sequence", r).shift(1 - r)), 1),
-    ]
+def _gf_i34(r: int) -> CFinite:
+    # the signed (r-1)-step value at n - 2; at r = 2 the one-step count, 1 at every n
+    return _twist((_fam("k-step-fibonacci", r - 1) if r > 2 else CFinite((1,), (1, -1))).shift(2))
 
 
 def _sweep_i36(r: Optional[int], lo: int, hi: int) -> List[Tuple[int, int]]:
     """The three fixed identities are the points n = 1, 2, 3."""
+    # each polynomial is the multinomial expansion of det(M_n) over a case's
+    # rule: I-04's at n = 6 (100), I-08's at n = 4 (0) and I-02's at n = 5 (1)
     t = seq_range(SequenceKind("tribonacci"), 0, 10)
     pairs = [
         (t[2] ** 3 + 2 * t[2] * t[6] + t[4] ** 2 + t[10], 100),
@@ -479,7 +472,7 @@ def registry() -> List[IdentityCase]:
             gf=lambda r: _twist(
                 _printed((1, -1), lambda n: 3 if n >= (r + 1) // 2 else 1, (r + 3) // 2)
             ),
-            narrow=_odd,
+            narrow=lambda r: r % 2 == 1,
             n_min=2,
             n_cap=lambda r: r - 1,
         ),
@@ -488,14 +481,14 @@ def registry() -> List[IdentityCase]:
             "odd-indexed order-r entries from index 1, odd r: signed auxiliary three-term sequence",
             rule=("gen-tribonacci", 1, 2, 1),
             gf=_gf_i20_i21,
-            narrow=_odd,
+            narrow=lambda r: r % 2 == 1,
         ),
         _case(
             "I-21",
             "odd-indexed order-r entries from index 1, even r: signed auxiliary four-term sequence",
             rule=("gen-tribonacci", 1, 2, 1),
             gf=_gf_i20_i21,
-            narrow=_even,
+            narrow=lambda r: r % 2 == 0,
         ),
         _case(
             "I-22",
@@ -589,8 +582,13 @@ def registry() -> List[IdentityCase]:
         _case(
             "I-34",
             "r-step Fibonacci entries: signed (r-1)-step value and signed spaced-piece count, two clauses",
-            family="k-step-fibonacci",
-            clauses=_i34_clauses,
+            clauses=[
+                # from n = r - 1, and n >= 1 at any r
+                (("k-step-fibonacci", 0, 1, 1), _gf_i34, lambda r: max(r - 1, 1)),
+                # signed spaced-piece count at n + r - 1
+                (("k-step-fibonacci", lambda r: r - 1, 1, 1),
+                 lambda r: _twist(_fam("q-sequence", r).shift(1 - r)), 1),
+            ],
         ),
         # I-35 restates I-04: the same rule and right side
         dataclasses.replace(

@@ -92,9 +92,10 @@ class CFinite:
         """x^k times the series; for k < 0, the series with its first -k coefficients dropped."""
         if k >= 0:
             return CFinite((0,) * k + self.num, self.den)
-        # (series - head) / x^(-k): the coefficients below x^(-k) cancel
-        head = self.coefficients(0, -k - 1)
-        return CFinite(_plus(self.num[-k:], [-c for c in _convolve(head, self.den, -k)]), self.den)
+        # (series - head) / x^(-k) keeps den and has at most m numerator terms;
+        # m <= 0 only past a polynomial's end
+        m = max(len(self.num) + k, len(self.den) - 1)
+        return CFinite.from_head(self.den, self.coefficients(-k, -k + m - 1))
 
     def scale(self, c: int) -> "CFinite":
         """The series at c*x: coefficient n times c^n."""

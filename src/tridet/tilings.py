@@ -1,10 +1,11 @@
 """Counting and brute-force enumeration of linear tilings by colored pieces.
 
 A piece set is a list of (length, colors) pairs with distinct lengths.
-Counting uses the obvious linear recurrence; enumeration is exhaustive and
-capped, so it can serve as an independent oracle for the counts and for the
-sequence families: each family's recurrence lags, read as piece lengths,
-give its tilings (pieces_for).
+Counting reads one coefficient of 1 / (1 - sum colors x^length) by the
+long division every series uses (series.CFinite); enumeration is
+exhaustive and capped, so it can serve as an independent oracle for the
+counts and for the sequence families: each family's recurrence lags, read
+as piece lengths, give its tilings (pieces_for).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .sequences import SequenceKind, seeds_and_lags
+from .series import CFinite
 
 # every length up to 18 gives 2^17 tilings, twice as many per unit of length:
 # 0.3 s for one enumeration at the cap (Python 3.11, 2-vCPU Xeon)
@@ -41,17 +43,13 @@ def uncolored(*lengths: int) -> PieceSet:
 
 
 def count_tilings(length: int, pieces: PieceSet) -> int:
-    """Number of ordered tilings of a 1 x length strip; the empty strip has 1."""
+    """Number of ordered tilings of a 1 x length strip: [x^length] 1 / (1 - sum colors x^plen)."""
     if length < 0:
         raise ValueError("length must be nonnegative, got %d" % length)
-    counts = [1] + [0] * length
-    for cell in range(1, length + 1):
-        total = 0
-        for plen, colors in pieces.pieces:
-            if plen <= cell:
-                total += colors * counts[cell - plen]
-        counts[cell] = total
-    return counts[length]
+    # a piece longer than the strip changes no coefficient up to x^length
+    colors = {plen: c for plen, c in pieces.pieces if plen <= length}
+    den = [1] + [-colors.get(e, 0) for e in range(1, max(colors, default=0) + 1)]
+    return CFinite((1,), den).coefficients(length, length)[0]
 
 
 def enumerate_tilings(length: int, pieces: PieceSet) -> List[Tuple[Tuple[int, int], ...]]:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tridet.identities as identities_module
+from tridet.identities import Clause, _fam, _twist
 from tridet.sequences import MAX_R
 from tridet import (
     CFinite,
@@ -19,6 +20,7 @@ from tridet import (
     check_sweeps,
     det_gf,
     det_prefixes,
+    det_trudi_partitions,
     expand_rational,
     gf_catalog,
     make_entries,
@@ -652,3 +654,42 @@ def test_i19b_clause_holds_up_to_n_cap_and_fails_just_past_it():
         rhs = clause.gf.coefficients(0, 2 * r)
         first_diff = next(n for n in range(clause.first, 2 * r + 1) if lhs[n] != rhs[n])
         assert clause.first == 2 and first_diff == r == case.n_cap(r) + 1, r
+
+
+def _reference_i34_clauses(r):
+    """I-34's two clauses as they were built by hand before its clause rows."""
+    assert r is not None
+    ksf = SequenceKind("k-step-fibonacci", r)
+    # the (r-1)-step count; at r = 2 the one-step count, one all-squares
+    # tiling of every length
+    shorter = _fam("k-step-fibonacci", r - 1) if r > 2 else CFinite((1,), (1, -1))
+    return [
+        # signed (r-1)-step value at n - 2
+        Clause(EntryRule(ksf, 0, 1, 1), _twist(shorter.shift(2)), r - 1),
+        # signed spaced-piece count at n + r - 1
+        Clause(EntryRule(ksf, r - 1, 1, 1), _twist(_fam("q-sequence", r).shift(1 - r)), 1),
+    ]
+
+
+def test_i34_rows_match_the_hand_built_clauses():
+    case = _by_id()["I-34"]
+    assert case.rule is None and case.rhs is None
+    for r in list(range(2, 41)) + [999, 1000]:
+        rows, reference = case.clauses(r), _reference_i34_clauses(r)
+        assert [(c.rule, c.first, c.gf.num, c.gf.den) for c in rows] == [
+            (c.rule, c.first, c.gf.num, c.gf.den) for c in reference
+        ], r
+        assert case.n_min(r) == 1, r
+
+
+def test_i36_polynomials_are_determinants_of_rule_built_cases():
+    # each printed polynomial is the multinomial expansion of det(M_n) over
+    # one rule-built case's rule: I-04's at n = 6, I-08's at n = 4, I-02's at n = 5
+    cases = _by_id()
+    lhs = [pair[0] for pair in cases["I-36"].sweep(None, 1, 3)]
+    assert lhs == [100, 0, 1]
+    for value, (cid, size) in zip(lhs, (("I-04", 6), ("I-08", 4), ("I-02", 5))):
+        rule = cases[cid].rule(None)
+        spec = make_entries(rule, size)
+        assert det_gf(rule).at(size) == det_prefixes(spec)[size] == value, cid
+        assert det_trudi_partitions(spec) == value, cid

@@ -13,7 +13,7 @@ from tridet import (
     gf_catalog,
 )
 from tridet.sequences import MAX_R, SequenceKind, family_den
-from tridet.series import _convolve, multisected_den
+from tridet.series import _convolve, _plus, multisected_den
 
 
 def _gf(num, den):
@@ -93,6 +93,29 @@ def _naive_product(f, g):
 @example([5, 0, 1], [1, -1], 0, 1, 3)  # from_head's stop
 def test_convolve_reads_the_naive_product(f, g, first, step, stop):
     assert _convolve(f, g, first, step, stop) == _naive_product(f, g)[first:stop:step]
+
+
+def _reference_negative_shift(gf, k):
+    """shift(k) for k < 0 with its numerator found by hand: (series - head) / x^(-k)."""
+    head = gf.coefficients(0, -k - 1)
+    return CFinite(_plus(gf.num[-k:], [-c for c in _convolve(head, gf.den, -k)]), gf.den)
+
+
+@given(
+    st.lists(st.integers(-6, 6), max_size=8),
+    st.lists(st.integers(-6, 6), max_size=5),
+    st.integers(-12, -1),
+)
+@example([], [], -3)  # the zero series
+@example([1, 2, 3], [], -2)  # den = (1,), a polynomial
+@example([1, 2, 3], [], -3)  # shifted to its end
+@example([1, 2, 3], [], -12)  # and past it
+@example([4, 0, 1], [0, 0, -1], -12)  # past len(num) over a longer den
+def test_negative_shift_matches_the_hand_built_numerator(num, den_tail, k):
+    gf = _gf(num, [1] + den_tail)
+    shifted = gf.shift(k)
+    assert shifted == _reference_negative_shift(gf, k)
+    assert shifted.coefficients(0, 20) == gf.coefficients(-k, -k + 20)
 
 
 def _reference_multisected_den(den, s):

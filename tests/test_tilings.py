@@ -108,3 +108,31 @@ def test_square_domino_counts_are_fibonacci(length):
     assert count_tilings(length, uncolored(1, 2)) == seq_term(
         SequenceKind("fibonacci"), length + 1
     )
+
+
+def _reference_count_tilings(length, pieces):
+    """count_tilings stepped by its own recurrence, one cell at a time."""
+    counts = [1] + [0] * length
+    for cell in range(1, length + 1):
+        total = 0
+        for plen, colors in pieces.pieces:
+            if plen <= cell:
+                total += colors * counts[cell - plen]
+        counts[cell] = total
+    return counts[length]
+
+
+@given(st.dictionaries(st.integers(1, 8), st.integers(1, 3), max_size=6))
+def test_count_matches_the_stepped_recurrence(colors):
+    pieces = PieceSet(tuple(sorted(colors.items())))
+    for length in range(61):
+        assert count_tilings(length, pieces) == _reference_count_tilings(length, pieces), length
+
+
+def test_count_over_no_pieces_and_over_pieces_past_the_strip():
+    empty = PieceSet(())
+    assert [count_tilings(m, empty) for m in range(6)] == [1, 0, 0, 0, 0, 0]
+    assert [_reference_count_tilings(m, empty) for m in range(6)] == [1, 0, 0, 0, 0, 0]
+    # a piece far longer than the strip is left out, not laid into a denominator
+    far = PieceSet(((1, 2), (10**12, 1)))
+    assert count_tilings(7, far) == _reference_count_tilings(7, far) == 2**7
