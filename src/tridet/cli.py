@@ -84,7 +84,8 @@ def _lines(lines: Iterable[str]) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-# seq writes its terms this many at a time, so their digits are held once
+# seq and tilings write this many terms or tilings at a time, so only one
+# batch's text is held
 _SEQ_BATCH = 256
 
 
@@ -160,7 +161,8 @@ def _parse_pieces(text: str) -> PieceSet:
 def _cmd_tilings(args: argparse.Namespace, emit: Callable[..., None]) -> int:
     pieces = _parse_pieces(args.pieces)
     count = str(count_tilings(args.length, pieces))
-    tilings = enumerate_tilings(args.length, pieces) if args.enumerate else None
+    tilings = enumerate_tilings(args.length, pieces) if args.enumerate else []
+    starts = range(0, len(tilings), _SEQ_BATCH)
     colors = dict(pieces.pieces)
 
     def line(tiling):
@@ -168,21 +170,29 @@ def _cmd_tilings(args: argparse.Namespace, emit: Callable[..., None]) -> int:
             str(plen) if colors[plen] == 1 else "%d:%d" % (plen, color) for plen, color in tiling
         )
 
-    def doc():
-        out = {"length": args.length, "pieces": [list(p) for p in pieces.pieces], "count": count}
-        if tilings is not None:
-            out["tilings"] = [[list(p) for p in tiling] for tiling in tilings]
-        return out
+    def plain():
+        yield count + "\n"
+        for i in starts:
+            yield _lines(map(line, tilings[i : i + _SEQ_BATCH]))
 
-    if tilings is None:
-        emit(lambda: [count + "\n"], lambda: [json.dumps(doc())], ["count"], lambda: [[[count]]])
-    else:
-        emit(
-            lambda: [_lines([count] + [line(t) for t in tilings])],
-            lambda: [json.dumps(doc())],
-            ["index", "tiling"],
-            lambda: [enumerate(map(line, tilings))],
-        )
+    def doc():
+        # the document as json.dumps writes it, one batch of tilings at a time
+        head = json.dumps({"length": args.length, "pieces": pieces.pieces, "count": count})
+        if not args.enumerate:
+            yield head
+            return
+        yield head[:-1] + ', "tilings": ['
+        for i in starts:
+            yield (", " if i else "") + json.dumps(tilings[i : i + _SEQ_BATCH])[1:-1]
+        yield "]}"
+
+    def rows():
+        if not args.enumerate:
+            yield [[count]]
+        for i in starts:
+            yield zip(range(i, len(tilings)), map(line, tilings[i : i + _SEQ_BATCH]))
+
+    emit(plain, doc, ["index", "tiling"] if args.enumerate else ["count"], rows)
     return 0
 
 

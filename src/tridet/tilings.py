@@ -2,10 +2,11 @@
 
 A piece set is a list of (length, colors) pairs with distinct lengths.
 Counting reads one coefficient of 1 / (1 - sum colors x^length) by the
-long division every series uses (series.CFinite); enumeration is
-exhaustive and capped, so it can serve as an independent oracle for the
-counts and for the sequence families: each family's recurrence lags, read
-as piece lengths, give its tilings (pieces_for).
+long division every series uses (series.CFinite).  Enumeration fills a
+level table, level m holding each tiling of a length-m strip as one tuple,
+a first piece plus a tiling from a lower level; capped by length and count,
+it is an independent oracle for the counts and for the families, whose
+recurrence lags, read as piece lengths, give their tilings (pieces_for).
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from typing import List, Tuple
 from .sequences import SequenceKind, seeds_and_lags
 from .series import CFinite
 
-# every length up to 18 gives 2^17 tilings, twice as many per unit of length:
-# 0.3 s for one enumeration at the cap (Python 3.11, 2-vCPU Xeon)
+# uncolored pieces give at most 2^17 tilings up to length 18, colored ones more,
+# so the count is capped at 2^17 too: 0.05 s to list 2^17 (Python 3.11, 2-vCPU Xeon)
 ENUMERATION_CAP = 18
 
 
@@ -55,31 +56,27 @@ def count_tilings(length: int, pieces: PieceSet) -> int:
 def enumerate_tilings(length: int, pieces: PieceSet) -> List[Tuple[Tuple[int, int], ...]]:
     """All tilings as tuples of (piece length, color index) pairs, colors 1-based.
 
-    Exhaustive search, so the strip length is capped at ENUMERATION_CAP.
+    Exhaustive: a length above ENUMERATION_CAP or a count above 2^(ENUMERATION_CAP - 1)
+    is refused before any tiling is built.
     """
-    if length < 0:
-        raise ValueError("length must be nonnegative, got %d" % length)
     if length > ENUMERATION_CAP:
+        raise ValueError("enumeration capped at length %d, got %d" % (ENUMERATION_CAP, length))
+    count = count_tilings(length, pieces)  # refuses a negative length
+    if count > 2 ** (ENUMERATION_CAP - 1):
         raise ValueError(
-            "enumeration capped at length %d, got %d" % (ENUMERATION_CAP, length)
-        )
+            "enumeration capped at 2^%d tilings, got %d" % (ENUMERATION_CAP - 1, count))
     ordered = sorted(pieces.pieces)
-    out: List[Tuple[Tuple[int, int], ...]] = []
-    stack: List[Tuple[int, int]] = []
-
-    def rec(remaining: int) -> None:
-        if remaining == 0:
-            out.append(tuple(stack))
-            return
-        for plen, colors in ordered:
-            if plen <= remaining:
-                for color in range(1, colors + 1):
-                    stack.append((plen, color))
-                    rec(remaining - plen)
-                    stack.pop()
-
-    rec(length)
-    return out
+    # the levels m that can end a whole tiling: a fixed start extends each of
+    # their tilings to one of the whole strip, so none holds more than count
+    ends = {length}
+    for m in range(length, 0, -1):
+        ends.update(m - plen for plen, _ in ordered if plen <= m and m in ends)
+    levels = {0: [()]}
+    for m in sorted(ends - {0}):
+        firsts = [(((plen, color),), levels[m - plen]) for plen, colors in ordered
+                  if plen <= m and levels[m - plen] for color in range(1, colors + 1)]
+        levels[m] = [first + rest for first, rests in firsts for rest in rests]
+    return levels[length]
 
 
 def pieces_for(kind: SequenceKind) -> PieceSet:

@@ -13,7 +13,7 @@ import pytest
 
 import tridet.cli as cli_module
 import tridet.identities as identities_module
-from tridet import IdentityCase, check_all, registry
+from tridet import IdentityCase, PieceSet, check_all, enumerate_tilings, registry
 from tridet.cli import _SEQ_BATCH, NMAX_CEILING, run
 from tridet.sequences import MAX_R
 
@@ -287,6 +287,31 @@ def test_tilings_json_and_errors(capsys):
     assert run(["tilings", "--length", "4", "--pieces", "1,x"]) == 2
     assert run(["tilings", "--length", "4", "--pieces", "1,1"]) == 2
     capsys.readouterr()
+
+
+def test_tilings_count_cap_refuses_before_any_output(capsys):
+    assert run(["tilings", "--length", "18", "--pieces", "1:9,2:9", "--enumerate"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: enumeration capped at 2^17 tilings, got 776092140459190341\n"
+
+
+def test_tilings_output_spans_several_batches(capsys):
+    # 2731 tilings: the streamed output is byte for byte the one written whole
+    base = ["tilings", "--length", "12", "--pieces", "2:2,1", "--enumerate"]
+    tilings = enumerate_tilings(12, PieceSet(((2, 2), (1, 1))))
+    assert len(tilings) > 3 * _SEQ_BATCH
+    # the uncolored length 1 prints bare, the two-color length 2 as 2:color
+    lines = [" ".join("1" if p == 1 else "2:%d" % c for p, c in t) for t in tilings]
+    assert run(base) == 0
+    assert capsys.readouterr().out == "".join(line + "\n" for line in ["2731"] + lines)
+    assert run(base + ["--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows == [["index", "tiling"]] + [[str(i), line] for i, line in enumerate(lines)]
+    assert run(base + ["--format", "json"]) == 0
+    doc = {"length": 12, "pieces": [[2, 2], [1, 1]], "count": "2731",
+           "tilings": [[list(p) for p in t] for t in tilings]}
+    assert capsys.readouterr().out == json.dumps(doc) + "\n"
 
 
 def test_gf_plain_and_default_order(capsys):

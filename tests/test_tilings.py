@@ -1,7 +1,10 @@
 """Tiling counts, exhaustive enumeration, and sequence correspondences."""
 
+import tracemalloc
+from typing import List, Tuple
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tridet import (
@@ -136,3 +139,78 @@ def test_count_over_no_pieces_and_over_pieces_past_the_strip():
     # a piece far longer than the strip is left out, not laid into a denominator
     far = PieceSet(((1, 2), (10**12, 1)))
     assert count_tilings(7, far) == _reference_count_tilings(7, far) == 2**7
+
+
+def _reference_enumerate_tilings(length, pieces):
+    """enumerate_tilings as a recursive walk, one frame per node of the tiling tree."""
+    if length < 0:
+        raise ValueError("length must be nonnegative, got %d" % length)
+    if length > ENUMERATION_CAP:
+        raise ValueError(
+            "enumeration capped at length %d, got %d" % (ENUMERATION_CAP, length)
+        )
+    ordered = sorted(pieces.pieces)
+    out: List[Tuple[Tuple[int, int], ...]] = []
+    stack: List[Tuple[int, int]] = []
+
+    def rec(remaining: int) -> None:
+        if remaining == 0:
+            out.append(tuple(stack))
+            return
+        for plen, colors in ordered:
+            if plen <= remaining:
+                for color in range(1, colors + 1):
+                    stack.append((plen, color))
+                    rec(remaining - plen)
+                    stack.pop()
+
+    rec(length)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(st.integers(1, 6), st.integers(1, 3), max_size=4),
+    st.integers(0, 12),
+)
+@example({}, 0)
+@example({2: 3, 1: 2}, 0)
+@example({}, 5)
+@example({6: 2, 5: 1}, 4)  # every piece longer than the strip
+def test_enumeration_matches_the_recursive_walk(colors, length):
+    pieces = PieceSet(tuple(colors.items()))  # drawn order, which enumeration sorts
+    if count_tilings(length, pieces) > 2 ** (ENUMERATION_CAP - 1):
+        with pytest.raises(ValueError, match="capped at 2\\^17 tilings"):
+            enumerate_tilings(length, pieces)
+    else:
+        assert enumerate_tilings(length, pieces) == _reference_enumerate_tilings(length, pieces)
+
+
+def test_enumeration_matches_the_recursive_walk_on_the_largest_benchmark_case():
+    pieces = pieces_for(SequenceKind("k-step-fibonacci", 8))
+    tilings = enumerate_tilings(18, pieces)
+    assert len(tilings) == 128257
+    assert tilings == _reference_enumerate_tilings(18, pieces)
+
+
+def test_enumeration_refuses_counts_past_the_cap():
+    # both would need more memory than a host has; refused before any tiling is built
+    with pytest.raises(ValueError, match="got 387420489$"):
+        enumerate_tilings(18, PieceSet(((1, 3),)))
+    with pytest.raises(ValueError, match="got 776092140459190341$"):
+        enumerate_tilings(18, PieceSet(((1, 9), (2, 9))))
+    # every uncolored set within the length cap stays listable: 2^17 is its largest count
+    assert len(enumerate_tilings(18, uncolored(*range(1, 19)))) == 2 ** 17
+
+
+def test_enumeration_builds_only_levels_that_end_a_tiling():
+    # no tiling of an odd strip by even pieces exists, yet the even levels below
+    # it would hold 5^8 tilings of (2, 5) and 10^5 first pieces of (2, 10^5)
+    tracemalloc.start()
+    try:
+        assert enumerate_tilings(17, PieceSet(((2, 5),))) == []
+        assert enumerate_tilings(3, PieceSet(((2, 10**5),))) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
