@@ -26,6 +26,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .determinant import (
     EntryRule,
     det_dense,
+    det_gf,
     det_recurrence,
     det_trudi_compositions,
     det_trudi_partitions,
@@ -118,9 +119,14 @@ def _cmd_seq(args: argparse.Namespace, emit: Callable[..., None]) -> int:
 def _cmd_det(args: argparse.Namespace, emit: Callable[..., None]) -> int:
     kind = SequenceKind(args.kind, args.r)
     rule = EntryRule(kind, args.start, args.stride, args.a0)
-    spec = make_entries(rule, args.n)
+    if args.n < 1:  # make_entries' refusal, also on the route that makes no entry
+        raise ValueError("entry vector needs n >= 1, got %d" % args.n)
     names = tuple(_DET_METHODS) if args.method == "all" else (args.method,)
-    values = [(name, str(_DET_METHODS[name](spec))) for name in names]
+    if names == ("recurrence",):  # det_recurrence's value, read without any entry
+        values = [("recurrence", str(det_gf(rule).at(args.n)))]
+    else:
+        spec = make_entries(rule, args.n)
+        values = [(name, str(_DET_METHODS[name](spec))) for name in names]
 
     def doc():
         return {
@@ -130,7 +136,7 @@ def _cmd_det(args: argparse.Namespace, emit: Callable[..., None]) -> int:
             "start": args.start,
             "stride": args.stride,
             "n": args.n,
-            "entries": [str(e) for e in spec.entries],
+            "entries": [str(e) for e in make_entries(rule, args.n).entries],
             "values": dict(values),
         }
 

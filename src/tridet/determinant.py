@@ -11,7 +11,8 @@ evaluation routes cross-certify each other:
   the determinants are the coefficients of the series.CFinite
   Q(-a0 x) / (Q(-a0 x) - x P(-a0 x)).  No entry past a_L is made, since the
   rule generates them by Q's recurrence (the tests check that it does for
-  every registry rule).  The registry's sweeps read it with coefficients.
+  every registry rule).  The registry's sweeps read it with coefficients,
+  tridet det's default route with at(n), making no entry at all.
 - det_recurrence: det(M_n) alone.  For a spec built by make_entries, which
   is the only code that sets a spec's rule (so such a spec holds exactly
   its rule's entries), it is det_gf(spec.rule).at(n), the series' one-term
@@ -110,25 +111,16 @@ def det_prefixes(spec: HessenbergSpec) -> List[int]:
     return dets
 
 
-def annihilator(rule: EntryRule) -> List[int]:
-    """Coefficients q_0 = 1, q_1..q_L of a polynomial Q that annihilates the entries.
-
-    sum_j q_j * a_(k+1-j) = 0 for every k >= L, where L is the family's
-    largest lag (every family's seed block is exactly that long, so this
-    holds from the first entry).  Q is the denominator of the family's
-    series multisected at the rule's stride: 1 - sum x^lag for stride 1.
-    """
-    return multisected_den(family_den(rule.kind), rule.stride)
-
-
 def det_gf(rule: EntryRule) -> CFinite:
     """The series whose coefficient m is det(M_m), for the matrices of a rule.
 
-    Built from the rule's annihilator Q and its first L = deg Q entries
-    only, so a sweep or a one-term read at any n makes no later entry.  Its
-    denominator is Q(-a0 x) - x P(-a0 x), constant term 1.
+    Q, the family's series denominator multisected at the rule's stride,
+    gives sum_j q_j * a_(k+1-j) = 0 for every k >= L = deg Q, from the
+    first entry on, since every seed block is L long.  Built from Q and the
+    first L entries only, so no later entry is made.  Its denominator is
+    Q(-a0 x) - x P(-a0 x), constant term 1.
     """
-    q = annihilator(rule)
+    q = multisected_den(family_den(rule.kind), rule.stride)
     # P = (entries * Q) mod x^L
     head = terms_at(rule.kind, rule.start, rule.stride, len(q) - 1)
     scaled = CFinite.from_head(q, head).scale(-rule.a0)

@@ -45,7 +45,7 @@ from .sequences import (
     seq_range,
     seq_term,
 )
-from .series import CFinite, gf_catalog
+from .series import CFinite, gf_catalog, tiling_den
 
 DEFAULT_R_SET = (2, 3, 4, 5, 6, 7, 8)
 DEFAULT_N_MAX = 24
@@ -148,10 +148,7 @@ def _tiling(k: int, weight: int, square: int = 1) -> CFinite:
     Most of the paper's binomial sums are this one at some k, weights and
     argument m.
     """
-    den = [1] + [0] * k
-    den[1] -= square
-    den[k] -= weight
-    return CFinite((1,), den)
+    return CFinite((1,), tiling_den([(1, square), (k, weight)]))
 
 
 def _printed(den: Sequence[int], formula: Callable[[int], int], terms: int) -> CFinite:

@@ -5,13 +5,14 @@ accepts, its seed block and its recurrence lags.  order_refusal reads the
 orders as the one order rule, which SequenceKind raises and the identity
 registry takes as each case's order domain.  Term n past the seeds is
 the sum of the terms n - lag; read as piece lengths, the same lags give the
-family's strip tilings (tilings.pieces_for), and as a polynomial they give
-the denominator of the family's series (family_series).  terms_at is the
-one stepper behind seq_term, seq_range and determinant.make_entries: it
-runs forward from the seeds on every call in a trimmed window, so nothing
-is kept between calls and one deep term holds only the last few.  Negative
-indices are rejected; closed-form cross-checks live alongside the
-recurrences so independent evaluations can be compared term by term.
+family's strip tilings (tilings.pieces_for), and their tiling denominator
+(series.tiling_den) is the family's series denominator (family_den).
+terms_at is the one stepper behind seq_term, seq_range and
+determinant.make_entries: it runs forward from the seeds on every call in
+a trimmed window, so nothing is kept between calls and one deep term holds
+only the last few.  Negative indices are rejected; closed-form
+cross-checks live alongside the recurrences so independent evaluations
+can be compared term by term.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from operator import itemgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .combinatorics import binomial
-from .series import MAX_R, CFinite
+from .series import MAX_R, CFinite, tiling_den
 
 
 class Family(NamedTuple):
@@ -105,12 +106,8 @@ def seeds_and_lags(kind: SequenceKind) -> Tuple[List[int], List[int]]:
 
 
 def family_den(kind: SequenceKind) -> List[int]:
-    """Q = 1 - sum x^lag, the denominator of the family's series."""
-    lags = FAMILY_TABLE[kind.family].lags(kind.r)
-    q = [1] + [0] * max(lags)
-    for lag in lags:
-        q[lag] -= 1
-    return q
+    """Q = 1 - sum x^lag, the denominator of the family's series: its lags as unit pieces."""
+    return tiling_den([(lag, 1) for lag in FAMILY_TABLE[kind.family].lags(kind.r)])
 
 
 def family_series(kind: SequenceKind) -> CFinite:

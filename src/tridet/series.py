@@ -188,6 +188,14 @@ def multisected_den(den: Sequence[int], s: int) -> List[int]:
     return out
 
 
+def tiling_den(pieces: Sequence[Tuple[int, int]]) -> List[int]:
+    """1 - sum w x^length over (length, w) pieces, length >= 1; pieces of one length add."""
+    den = [1] + [0] * max((length for length, _ in pieces), default=0)
+    for length, w in pieces:
+        den[length] -= w
+    return den
+
+
 def expand_rational(gf: CFinite, terms: int) -> List[int]:
     """Coefficients of x^1 .. x^terms of the series gf."""
     if terms < 1:

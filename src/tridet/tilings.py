@@ -1,8 +1,8 @@
 """Counting and brute-force enumeration of linear tilings by colored pieces.
 
 A piece set is a list of (length, colors) pairs with distinct lengths.
-Counting reads one coefficient of 1 / (1 - sum colors x^length) by the
-long division every series uses (series.CFinite).  Enumeration fills a
+Counting reads one coefficient of 1 / series.tiling_den(pieces), which also
+gives each family's denominator, by long division.  Enumeration fills a
 level table, level m holding each tiling of a length-m strip as one tuple,
 a first piece plus a tiling from a lower level; capped by length and count,
 it is an independent oracle for the counts and for the families, whose
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .sequences import SequenceKind, seeds_and_lags
-from .series import CFinite
+from .series import CFinite, tiling_den
 
 # uncolored pieces give at most 2^17 tilings up to length 18, colored ones more,
 # so the count is capped at 2^17 too: 0.05 s to list 2^17 (Python 3.11, 2-vCPU Xeon)
@@ -48,8 +48,7 @@ def count_tilings(length: int, pieces: PieceSet) -> int:
     if length < 0:
         raise ValueError("length must be nonnegative, got %d" % length)
     # a piece longer than the strip changes no coefficient up to x^length
-    colors = {plen: c for plen, c in pieces.pieces if plen <= length}
-    den = [1] + [-colors.get(e, 0) for e in range(1, max(colors, default=0) + 1)]
+    den = tiling_den([piece for piece in pieces.pieces if piece[0] <= length])
     return CFinite((1,), den).coefficients(length, length)[0]
 
 

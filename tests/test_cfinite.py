@@ -19,8 +19,9 @@ from tridet import (
     seq_term,
 )
 from tridet import sequences
-from tridet.determinant import DENSE_CAP, annihilator
-from tridet.sequences import _CHUNK
+from tridet.determinant import DENSE_CAP
+from tridet.sequences import _CHUNK, family_den, terms_at
+from tridet.series import CFinite, multisected_den
 
 # every family at every in-domain order up to 10
 KINDS = [SequenceKind(f) for f in sequences.FIXED_FAMILIES] + [
@@ -35,6 +36,35 @@ KINDS = [SequenceKind(f) for f in sequences.FIXED_FAMILIES] + [
     )
     for r in orders
 ]
+
+
+def _reference_annihilator(rule):
+    """Coefficients q_0 = 1, q_1..q_L of a polynomial Q that annihilates the entries.
+
+    sum_j q_j * a_(k+1-j) = 0 for every k >= L, where L is the family's
+    largest lag (every family's seed block is exactly that long, so this
+    holds from the first entry).  Q is the denominator of the family's
+    series multisected at the rule's stride: 1 - sum x^lag for stride 1.
+    """
+    return multisected_den(family_den(rule.kind), rule.stride)
+
+
+# det_gf's body while it read Q through determinant.annihilator
+def _reference_det_gf(rule):
+    """The series whose coefficient m is det(M_m), for the matrices of a rule.
+
+    Built from the rule's annihilator Q and its first L = deg Q entries
+    only, so a sweep or a one-term read at any n makes no later entry.  Its
+    denominator is Q(-a0 x) - x P(-a0 x), constant term 1.
+    """
+    q = _reference_annihilator(rule)
+    # P = (entries * Q) mod x^L
+    head = terms_at(rule.kind, rule.start, rule.stride, len(q) - 1)
+    scaled = CFinite.from_head(q, head).scale(-rule.a0)
+    den = list(scaled.den)
+    for j, pj in enumerate(scaled.num):
+        den[j + 1] -= pj
+    return CFinite(scaled.den, den)
 
 
 @st.composite
@@ -60,7 +90,7 @@ def test_cfinite_route_matches_the_oracles(rule, n):
 @pytest.mark.parametrize("stride", [1, 3])
 def test_sizes_below_the_recurrence_order(stride):
     rule = EntryRule(SequenceKind("k-step-fibonacci", 10), 2, stride, -2)
-    assert len(annihilator(rule)) - 1 == 10
+    assert len(_reference_annihilator(rule)) - 1 == 10
     for n in range(1, 12):
         spec = make_entries(rule, n)
         assert det_gf(rule).coefficients(0, n) == det_prefixes(spec)
@@ -69,8 +99,9 @@ def test_sizes_below_the_recurrence_order(stride):
 
 def test_strided_annihilator_worked_value():
     # even-indexed tribonacci terms 0, 1, 2, 7, 24, 81: u_k = 3u_(k-1) + u_(k-2) + u_(k-3)
-    assert annihilator(EntryRule(SequenceKind("tribonacci"), 0, 2, 1)) == [1, -3, -1, -1]
-    assert annihilator(EntryRule(SequenceKind("tribonacci"), 0, 1, 1)) == [1, -1, -1, -1]
+    tribonacci = SequenceKind("tribonacci")
+    assert _reference_annihilator(EntryRule(tribonacci, 0, 2, 1)) == [1, -3, -1, -1]
+    assert _reference_annihilator(EntryRule(tribonacci, 0, 1, 1)) == [1, -1, -1, -1]
 
 
 def test_altered_entries_are_refused():
@@ -121,7 +152,7 @@ def test_altered_entries_are_refused_at_the_first_broken_entry(stride, positions
     # in for the removed entry check names its first broken entry
     rule = EntryRule(SequenceKind("gen-tribonacci", 5), 1, stride, 2)
     spec = make_entries(rule, 700)
-    q = annihilator(rule)
+    q = _reference_annihilator(rule)
     order = len(q) - 1
     assert _first_broken_entry(spec.entries, q) is None
     # the named positions, alone and with the first entry, the first entry
@@ -203,11 +234,11 @@ def test_make_entries_match_the_terms_past_several_trims():
         assert spec.entries == tuple(sequences.seq_range(kind, 3, 3 + 499 * 4)[::4])
 
 
-def _registry_rules():
-    """(case id, r, rule) of every rule a sweep reads a left side from, in-domain r <= 13."""
+def _registry_rules(orders=range(2, 14)):
+    """(case id, r, rule) of every rule a sweep reads a left side from, in-domain r in orders."""
     for case in registry():
-        orders = [r for r in range(2, 14) if case.accepts_r(r)] if case.parameterized else [None]
-        for r in orders:
+        in_domain = [r for r in orders if case.accepts_r(r)] if case.parameterized else [None]
+        for r in in_domain:
             if case.clauses is not None:
                 for clause in case.clauses(r):
                     yield case.id, r, clause.rule
@@ -218,9 +249,30 @@ def test_registry_rules_obey_their_annihilators():
     # past them; this is the check it leaves out, made once here
     seen = set()
     for cid, r, rule in _registry_rules():
-        assert _first_broken_entry(make_entries(rule, 300).entries, annihilator(rule)) is None
+        q = _reference_annihilator(rule)
+        assert _first_broken_entry(make_entries(rule, 300).entries, q) is None
         seen.add(cid)
     assert seen == {case.id for case in registry()} - {"I-36"}
+
+
+@pytest.mark.parametrize("orders", [range(2, 41), (999, 1000)], ids=["r<=40", "r=999,1000"])
+def test_det_gf_equals_its_body_with_the_annihilator_on_registry_rules(orders):
+    rules = {rule for _, _, rule in _registry_rules(orders)}
+    assert rules
+    for rule in rules:
+        assert det_gf(rule) == _reference_det_gf(rule), rule
+
+
+@given(
+    st.sampled_from(KINDS),
+    st.integers(0, 20),
+    st.integers(1, 4),
+    st.sampled_from((1, -1, 2, -2, 3, -3)),
+)
+@settings(max_examples=200, deadline=None)
+def test_det_gf_equals_its_body_with_the_annihilator(kind, start, stride, a0):
+    rule = EntryRule(kind, start, stride, a0)
+    assert det_gf(rule) == _reference_det_gf(rule)
 
 
 @st.composite

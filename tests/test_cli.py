@@ -13,7 +13,17 @@ import pytest
 
 import tridet.cli as cli_module
 import tridet.identities as identities_module
-from tridet import IdentityCase, PieceSet, check_all, enumerate_tilings, registry
+from tridet import (
+    EntryRule,
+    IdentityCase,
+    PieceSet,
+    SequenceKind,
+    check_all,
+    det_gf,
+    enumerate_tilings,
+    make_entries,
+    registry,
+)
 from tridet.cli import _SEQ_BATCH, NMAX_CEILING, run
 from tridet.sequences import MAX_R
 
@@ -263,6 +273,49 @@ def test_det_usage_errors(capsys):
     assert run(["det", "--a0", "1", "--kind", "gen-tribonacci", "--start", "0",
                 "--stride", "1", "-n", "3"]) == 2  # missing --r
     capsys.readouterr()
+
+
+_DET_DEEP = ["det", "--a0", "1", "--kind", "gen-tribonacci", "--r", "5", "--start", "1",
+             "--stride", "2", "-n", "20000"]
+
+
+def test_det_default_route_makes_no_entry(capsys, monkeypatch):
+    def refuse(rule, n):
+        raise AssertionError("det's default route made its entries")
+
+    monkeypatch.setattr(cli_module, "make_entries", refuse)
+    value = det_gf(EntryRule(SequenceKind("gen-tribonacci", 5), 1, 2, 1)).at(20000)
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        digits = str(value)
+    finally:
+        sys.set_int_max_str_digits(cap)
+    assert len(digits) > cap
+    assert run(_DET_DEEP) == 0
+    assert capsys.readouterr().out == digits + "\n"
+    assert run(_DET_DEEP + ["--format", "csv"]) == 0
+    assert capsys.readouterr().out == "method,value\nrecurrence,%s\n" % digits
+    # make_entries' refusal of an empty matrix stands without it
+    assert run(_DET_DEEP[:-1] + ["0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: entry vector needs n >= 1, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "extra", [["--format", "json"], ["--method", "all"], ["--method", "dense", "--format", "csv"]]
+)
+def test_det_json_and_other_methods_still_build_entries(extra, capsys, monkeypatch):
+    calls = []
+
+    def spy(rule, n):
+        calls.append((rule, n))
+        return make_entries(rule, n)
+
+    monkeypatch.setattr(cli_module, "make_entries", spy)
+    assert run(list(_DET14) + extra) == 0
+    assert capsys.readouterr().out
+    assert calls and set(calls) == {(EntryRule(SequenceKind("tribonacci"), 3, 2, 1), 14)}
 
 
 def test_tilings_count_and_enumeration(capsys):

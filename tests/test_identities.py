@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tridet.identities as identities_module
-from tridet.identities import Clause, _fam, _twist
+from tridet.identities import Clause, _fam, _tiling, _twist
 from tridet.sequences import MAX_R
 from tridet import (
     CFinite,
@@ -680,6 +680,30 @@ def test_i34_rows_match_the_hand_built_clauses():
             (c.rule, c.first, c.gf.num, c.gf.den) for c in reference
         ], r
         assert case.n_min(r) == 1, r
+
+
+def _reference_tiling(k: int, weight: int, square: int = 1) -> CFinite:
+    """v(m) = sum_i C(m-(k-1)i, i) * weight^i * square^(m-ki), as one series.
+
+    The i-th term counts the tilings of m by squares and i k-minos, with
+    the factor square per square and weight per k-mino.  Summed over i,
+    weight^i x^(ki) / (1 - square x)^(i+1) is 1 / (1 - square x - weight x^k).
+    Most of the paper's binomial sums are this one at some k, weights and
+    argument m.
+    """
+    den = [1] + [0] * k
+    den[1] -= square
+    den[k] -= weight
+    return CFinite((1,), den)
+
+
+def test_tiling_sums_match_their_hand_built_denominators():
+    weights = range(-3, 4)
+    for k in range(1, 13):  # k = 1 puts both weights on x
+        for weight in weights:
+            for square in weights:
+                assert _tiling(k, weight, square) == _reference_tiling(k, weight, square)
+    assert _tiling(1, 2, 3) == CFinite((1,), (1, -5))
 
 
 def test_i36_polynomials_are_determinants_of_rule_built_cases():

@@ -15,7 +15,6 @@ ROOT = Path(__file__).resolve().parent.parent
     "script",
     [
         ["oracle_crosscheck.py", "--trials", "30"],
-        ["run_verification.py"],
     ],
 )
 def test_gate_script_passes(script):

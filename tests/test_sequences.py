@@ -11,12 +11,23 @@ from tridet import (
     FIXED_FAMILIES,
     PARAMETRIC_FAMILIES,
     SequenceKind,
+    pieces_for,
     seq_range,
     seq_term,
     square_rmino_closed,
     tribonacci_explicit,
 )
-from tridet.sequences import _CHUNK, FAMILIES, FAMILY_TABLE, MAX_R, seeds_and_lags, terms_at
+from tridet.sequences import (
+    _CHUNK,
+    FAMILIES,
+    FAMILY_TABLE,
+    MAX_R,
+    family_den,
+    order_refusal,
+    seeds_and_lags,
+    terms_at,
+)
+from tridet.series import tiling_den
 
 # hand-unrolled from the defining recurrences
 FROZEN = {
@@ -191,7 +202,7 @@ def test_family_names_come_from_the_table_in_order():
 @pytest.mark.parametrize("family,r", IN_DOMAIN)
 def test_family_table_invariants(family, r):
     seeds, lags = seeds_and_lags(SequenceKind(family, r))
-    # make_entries and annihilator rely on a seed block exactly max(lags) long
+    # make_entries and det_gf rely on a seed block exactly max(lags) long
     assert len(seeds) == max(lags)
     assert all(lag > 0 for lag in lags)
     assert len(set(lags)) == len(lags)
@@ -250,3 +261,28 @@ def test_seq_term_holds_a_window_not_every_term():
     # the window holds at most max(lags) + _CHUNK = 258 terms, none larger
     # than the result; every term up to n would take about n / 2 = 25000 times it
     assert peak < 2 * (2 + _CHUNK) * sys.getsizeof(value)
+
+
+def _reference_family_den(kind: SequenceKind):
+    """Q = 1 - sum x^lag, the denominator of the family's series."""
+    lags = FAMILY_TABLE[kind.family].lags(kind.r)
+    q = [1] + [0] * max(lags)
+    for lag in lags:
+        q[lag] -= 1
+    return q
+
+
+def test_family_den_is_the_hand_built_denominator_and_the_tiling_one():
+    # every family at every in-domain order up to 40, and at 999 and 1000
+    kinds = [SequenceKind(family) for family in FIXED_FAMILIES] + [
+        SequenceKind(family, r)
+        for family in PARAMETRIC_FAMILIES
+        for r in list(range(2, 41)) + [999, 1000]
+        if order_refusal(family, r) is None
+    ]
+    # three from 3, three from 2, skip-tribonacci odd only; six at 999, five at 1000
+    assert len(kinds) == 3 + 3 * 38 + 3 * 39 - 19 + 6 + 5
+    for kind in kinds:
+        assert family_den(kind) == _reference_family_den(kind), kind
+        # the family's strip tilings have the family's denominator
+        assert tiling_den(pieces_for(kind).pieces) == family_den(kind), kind

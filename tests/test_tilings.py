@@ -16,6 +16,7 @@ from tridet import (
     seq_term,
     uncolored,
 )
+from tridet.series import CFinite, tiling_den
 from tridet.tilings import ENUMERATION_CAP
 
 # piece length 1 with two colors plus an uncolored length 3
@@ -139,6 +140,25 @@ def test_count_over_no_pieces_and_over_pieces_past_the_strip():
     # a piece far longer than the strip is left out, not laid into a denominator
     far = PieceSet(((1, 2), (10**12, 1)))
     assert count_tilings(7, far) == _reference_count_tilings(7, far) == 2**7
+
+
+def _reference_count_den(length, pieces):
+    """count_tilings' denominator as it was built from a dict of the pieces."""
+    # a piece longer than the strip changes no coefficient up to x^length
+    colors = {plen: c for plen, c in pieces.pieces if plen <= length}
+    return [1] + [-colors.get(e, 0) for e in range(1, max(colors, default=0) + 1)]
+
+
+@given(st.dictionaries(st.integers(1, 10), st.integers(1, 3), max_size=6), st.integers(0, 12))
+@example({}, 0)  # no pieces
+@example({}, 5)
+@example({7: 2, 9: 1}, 4)  # every piece longer than the strip
+def test_count_denominator_matches_the_dict_built_one(colors, length):
+    pieces = PieceSet(tuple(colors.items()))  # drawn order
+    reference = _reference_count_den(length, pieces)
+    assert tiling_den([piece for piece in pieces.pieces if piece[0] <= length]) == reference
+    expected = CFinite((1,), reference).coefficients(length, length)[0]
+    assert count_tilings(length, pieces) == expected
 
 
 def _reference_enumerate_tilings(length, pieces):
