@@ -2,7 +2,9 @@
 
 Subcommands: seq (print sequence terms), det (one determinant by one or
 all methods), tilings (count or enumerate strip tilings), gf (series
-coefficients from the catalog), verify (run the identity registry).
+coefficients from the catalog), verify (run the identity registry).  Each
+writes its result through _emit a batch at a time, and every JSON document
+through _json_doc, as json.dumps would write it whole.
 
 Exit codes: 0 success, 1 verification found failing identities, 2 bad
 usage or invalid values, including values too large to allocate, a verify
@@ -21,13 +23,12 @@ import os
 import sys
 from functools import partial
 from itertools import chain
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .determinant import (
     EntryRule,
     det_dense,
     det_gf,
-    det_recurrence,
     det_trudi_compositions,
     det_trudi_partitions,
     make_entries,
@@ -44,8 +45,9 @@ from .tilings import PieceSet, count_tilings, enumerate_tilings
 # the output about 4x as large, so the ceiling bounds run time and output size
 NMAX_CEILING = 2000
 
+# the oracle routes, which read a spec's entries; det's recurrence value is
+# det_gf(rule).at(n), which reads none
 _DET_METHODS = {
-    "recurrence": det_recurrence,
     "trudi-partitions": det_trudi_partitions,
     "trudi-compositions": det_trudi_compositions,
     "dense": det_dense,
@@ -63,16 +65,14 @@ def _emit(
 
     Every format comes in batches, each written at once and then dropped:
     plain() gives pieces of plain text, doc() pieces of one JSON document
-    and rows() batches of CSV rows under the header columns.  Only the one
-    for fmt is called, so the other formats are never built.
+    from _json_doc and rows() batches of CSV rows under the header columns.
+    Only the one for fmt is called, so the other formats are never built.
     """
     out = sys.stdout
     if fmt == "plain":
-        for text in plain():
-            out.write(text)
+        out.writelines(plain())
     elif fmt == "json":
-        for text in doc():
-            out.write(text)
+        out.writelines(doc())
         out.write("\n")
     else:
         for batch in chain([[columns]], rows()):
@@ -81,69 +81,84 @@ def _emit(
             out.write(text.getvalue())
 
 
+def _json_doc(
+    head: dict, key: str, batches: Iterable[Iterable[str]], tail: Optional[dict] = None
+) -> Iterator[str]:
+    """The text of json.dumps({**head, key: [items], **tail}), one batch at a time.
+
+    Each batch holds one or more JSON texts, each of one item or of a run of
+    items as json.dumps(run)[1:-1] writes them.  tail is encoded after the
+    last batch, so it may hold values that reading the batches fills in.
+    """
+    opening = json.dumps({**head, key: []})[:-2]
+    yield opening
+    sep = ""
+    for batch in batches:
+        yield sep + ", ".join(batch)
+        sep = ", "
+    yield json.dumps({**head, key: [], **(tail or {})})[len(opening) :]
+
+
 def _lines(lines: Iterable[str]) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-# seq and tilings write this many terms or tilings at a time, so only one
-# batch's text is held
+# terms, entries, coefficients and tilings are written this many at a time,
+# so only one batch's text is held
 _SEQ_BATCH = 256
 
 
-def _cmd_seq(args: argparse.Namespace, emit: Callable[..., None]) -> int:
-    kind = SequenceKind(args.kind, args.r)
-    terms = seq_range(kind, args.start, args.stop)
-    starts = range(0, len(terms), _SEQ_BATCH)
+def _batches(items: Sequence) -> Iterator[Tuple[int, Sequence]]:
+    """(i, items[i : i + _SEQ_BATCH]) for i = 0, _SEQ_BATCH, 2 * _SEQ_BATCH, ..."""
+    return ((i, items[i : i + _SEQ_BATCH]) for i in range(0, len(items), _SEQ_BATCH))
+
+
+def _int_strings(values: Sequence[int]) -> Iterator[Iterator[str]]:
+    """values as batches of JSON strings of their digits, as json holds big integers."""
+    return (('"%d"' % v for v in batch) for _, batch in _batches(values))
+
+
+def _emit_terms(
+    emit: Callable, values: Sequence[int], first: int, head: dict, key: str, columns: Sequence[str]
+) -> None:
+    """Integers indexed from first: one line, a JSON list under key, CSV rows."""
 
     def plain():
-        for i in starts:
-            yield (" " if i else "") + " ".join(map(str, terms[i : i + _SEQ_BATCH]))
+        for i, batch in _batches(values):
+            yield (" " if i else "") + " ".join(map(str, batch))
         yield "\n"
 
-    def doc():
-        # the document as json.dumps writes it, one batch of terms at a time
-        yield '{"kind": %s, "r": %s, "from": %d, "to": %d, "terms": [' % (
-            json.dumps(args.kind), json.dumps(args.r), args.start, args.stop)
-        for i in starts:
-            yield (", " if i else "") + ", ".join('"%d"' % t for t in terms[i : i + _SEQ_BATCH])
-        yield "]}"
+    emit(
+        plain,
+        lambda: _json_doc(head, key, _int_strings(values)),
+        columns,
+        lambda: (enumerate(batch, first + i) for i, batch in _batches(values)),
+    )
 
-    def rows():
-        for i in starts:
-            yield zip(range(args.start + i, args.stop + 1), terms[i : i + _SEQ_BATCH])
 
-    emit(plain, doc, ["n", "value"], rows)
+def _cmd_seq(args: argparse.Namespace, emit: Callable[..., None]) -> int:
+    terms = seq_range(SequenceKind(args.kind, args.r), args.start, args.stop)
+    head = {"kind": args.kind, "r": args.r, "from": args.start, "to": args.stop}
+    _emit_terms(emit, terms, args.start, head, "terms", ["n", "value"])
     return 0
 
 
 def _cmd_det(args: argparse.Namespace, emit: Callable[..., None]) -> int:
-    kind = SequenceKind(args.kind, args.r)
-    rule = EntryRule(kind, args.start, args.stride, args.a0)
-    if args.n < 1:  # make_entries' refusal, also on the route that makes no entry
+    rule = EntryRule(SequenceKind(args.kind, args.r), args.start, args.stride, args.a0)
+    if args.n < 1:  # make_entries' refusal, also when no entry is made
         raise ValueError("entry vector needs n >= 1, got %d" % args.n)
-    names = tuple(_DET_METHODS) if args.method == "all" else (args.method,)
-    if names == ("recurrence",):  # det_recurrence's value, read without any entry
-        values = [("recurrence", str(det_gf(rule).at(args.n)))]
-    else:
-        spec = make_entries(rule, args.n)
-        values = [(name, str(_DET_METHODS[name](spec))) for name in names]
-
-    def doc():
-        return {
-            "kind": args.kind,
-            "r": args.r,
-            "a0": args.a0,
-            "start": args.start,
-            "stride": args.stride,
-            "n": args.n,
-            "entries": [str(e) for e in make_entries(rule, args.n).entries],
-            "values": dict(values),
-        }
-
+    names = ("recurrence", *_DET_METHODS) if args.method == "all" else (args.method,)
+    # the entries are made once, and only for an oracle method or the json document
+    spec = make_entries(rule, args.n) if args.format == "json" or names != ("recurrence",) else None
+    values = [
+        (name, str(det_gf(rule).at(args.n) if name == "recurrence" else _DET_METHODS[name](spec)))
+        for name in names
+    ]
+    head = {key: getattr(args, key) for key in ("kind", "r", "a0", "start", "stride", "n")}
     lines = [values[0][1]] if len(values) == 1 else ["%s %s" % pair for pair in values]
     emit(
         lambda: [_lines(lines)],
-        lambda: [json.dumps(doc())],
+        lambda: _json_doc(head, "entries", _int_strings(spec.entries), {"values": dict(values)}),
         ["method", "value"],
         lambda: [values],
     )
@@ -156,19 +171,19 @@ def _parse_pieces(text: str) -> PieceSet:
         token = token.strip()
         if not token:
             raise ValueError("empty piece token in %r" % text)
-        if ":" in token:
-            length_text, colors_text = token.split(":", 1)
-            items.append((int(length_text), int(colors_text)))
-        else:
-            items.append((int(token), 1))
+        length, colon, colors = token.partition(":")
+        items.append((int(length), int(colors) if colon else 1))
     return PieceSet(tuple(items))
 
 
 def _cmd_tilings(args: argparse.Namespace, emit: Callable[..., None]) -> int:
     pieces = _parse_pieces(args.pieces)
     count = str(count_tilings(args.length, pieces))
-    tilings = enumerate_tilings(args.length, pieces) if args.enumerate else []
-    starts = range(0, len(tilings), _SEQ_BATCH)
+    head = {"length": args.length, "pieces": pieces.pieces, "count": count}
+    if not args.enumerate:
+        emit(lambda: [count + "\n"], lambda: [json.dumps(head)], ["count"], lambda: [[[count]]])
+        return 0
+    tilings = enumerate_tilings(args.length, pieces)
     colors = dict(pieces.pieces)
 
     def line(tiling):
@@ -178,57 +193,27 @@ def _cmd_tilings(args: argparse.Namespace, emit: Callable[..., None]) -> int:
 
     def plain():
         yield count + "\n"
-        for i in starts:
-            yield _lines(map(line, tilings[i : i + _SEQ_BATCH]))
+        for _, batch in _batches(tilings):
+            yield _lines(map(line, batch))
 
-    def doc():
-        # the document as json.dumps writes it, one batch of tilings at a time
-        head = json.dumps({"length": args.length, "pieces": pieces.pieces, "count": count})
-        if not args.enumerate:
-            yield head
-            return
-        yield head[:-1] + ', "tilings": ['
-        for i in starts:
-            yield (", " if i else "") + json.dumps(tilings[i : i + _SEQ_BATCH])[1:-1]
-        yield "]}"
-
-    def rows():
-        if not args.enumerate:
-            yield [[count]]
-        for i in starts:
-            yield zip(range(i, len(tilings)), map(line, tilings[i : i + _SEQ_BATCH]))
-
-    emit(plain, doc, ["index", "tiling"] if args.enumerate else ["count"], rows)
+    emit(
+        plain,
+        lambda: _json_doc(head, "tilings", ([json.dumps(b)[1:-1]] for _, b in _batches(tilings))),
+        ["index", "tiling"],
+        lambda: (enumerate(map(line, batch), i) for i, batch in _batches(tilings)),
+    )
     return 0
 
 
 def _cmd_gf(args: argparse.Namespace, emit: Callable[..., None]) -> int:
-    if args.family not in GF_FAMILIES:
-        raise ValueError("unknown series family %r" % args.family)
-    r = args.r
-    if r is None:
-        if args.family == "i24":
-            r = 3
-        else:
-            raise ValueError("family %r requires --r" % args.family)
+    # gf_catalog refuses an unknown family first, with or without --r
+    r = 3 if args.r is None else args.r
     gf = gf_catalog(args.family, r)
-    coeffs = [str(c) for c in expand_rational(gf, args.terms)]
-
-    def doc():
-        return {
-            "family": args.family,
-            "r": r,
-            "num": list(gf.num),
-            "den": list(gf.den),
-            "coefficients": coeffs,
-        }
-
-    emit(
-        lambda: [" ".join(coeffs) + "\n"],
-        lambda: [json.dumps(doc())],
-        ["n", "coefficient"],
-        lambda: [enumerate(coeffs, start=1)],
-    )
+    if args.r is None and args.family != "i24":  # r = 3 is i24's one order
+        raise ValueError("family %r requires --r" % args.family)
+    head = {"family": args.family, "r": r, "num": list(gf.num), "den": list(gf.den)}
+    coeffs = expand_rational(gf, args.terms)
+    _emit_terms(emit, coeffs, 1, head, "coefficients", ["n", "coefficient"])
     return 0
 
 
@@ -271,20 +256,19 @@ def _cmd_verify(args: argparse.Namespace, emit: Callable[..., None]) -> int:
             )
         yield "checked=%(checked)d passed=%(passed)d failed=%(failed)d\n" % counts
 
+    def records(reports):
+        # each record as json.dumps writes it, without a dict per report (2.5x as
+        # slow); the reports of one sweep share their id and r
+        head = '{"id": %s, "r": %s, "n": ' % (json.dumps(reports[0].id), json.dumps(reports[0].r))
+        return (
+            '%s%d, "lhs": "%d", "rhs": "%d", "pass": %s}'
+            % (head, rep.n, rep.lhs, rep.rhs, "true" if rep.passed else "false")
+            for rep in reports
+        )
+
     def doc():
-        # each record as json.dumps writes it, without building a dict per report;
-        # the reports of one sweep share their id and r
-        sep = '{"reports": ['
-        for reports in counted():
-            lead = reports[0]
-            head = '{"id": %s, "r": %s, "n": ' % (json.dumps(lead.id), json.dumps(lead.r))
-            yield sep + ", ".join(
-                '%s%d, "lhs": "%d", "rhs": "%d", "pass": %s}'
-                % (head, rep.n, rep.lhs, rep.rhs, "true" if rep.passed else "false")
-                for rep in reports
-            )
-            sep = ", "
-        yield '], "summary": %s}' % json.dumps(counts)
+        # the summary is encoded once the sweeps have filled in counts
+        return _json_doc({}, "reports", map(records, counted()), {"summary": counts})
 
     def rows():
         for reports in counted():
@@ -319,15 +303,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--start", type=int, required=True, help="index of the first entry")
     p_det.add_argument("--stride", type=int, choices=(1, 2), required=True)
     p_det.add_argument("-n", dest="n", type=int, required=True, help="matrix size")
-    p_det.add_argument("--method", choices=tuple(_DET_METHODS) + ("all",), default="recurrence")
+    p_det.add_argument(
+        "--method", choices=("recurrence", *_DET_METHODS, "all"), default="recurrence"
+    )
     p_det.set_defaults(handler=_cmd_det)
 
     p_til = sub.add_parser("tilings", help="count or list strip tilings")
     p_til.add_argument("--length", type=int, required=True)
     p_til.add_argument(
-        "--pieces",
-        required=True,
-        help="comma list of piece lengths, each optionally :colorcount",
+        "--pieces", required=True, help="comma list of piece lengths, each optionally :colorcount"
     )
     p_til.add_argument("--enumerate", action="store_true")
     p_til.set_defaults(handler=_cmd_tilings)

@@ -5,9 +5,10 @@ some index on is the coefficient list of such a series (Zeilberger's
 "C-finite ansatz", Ramanujan J. 31, 2013).  CFinite is that one value:
 it is built from a denominator and the sequence's first terms
 (from_head), shifted, scaled, added, multiplied and multisected in closed
-form, and read out by division-free long division (coefficients) or one
-term alone by Bostan-Mori halving (at).  A determinant series (det_gf) and
-a declared right side are both this value.
+form (multisected_den: a Graeffe step per factor 2 of the step, Newton
+power sums for its odd part), and read out by division-free long division
+(coefficients) or one term alone by Bostan-Mori halving (at).  A
+determinant series (det_gf) and a declared right side are both this value.
 
 The catalog holds the closed rational forms tied to the determinant
 families checked in the identities module, keyed by the identity id they
@@ -25,8 +26,8 @@ from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 # the largest order r any sequence family or catalog entry accepts.  Cost
-# grows with r: in process, verify --r-set 1000 takes 2.2 s and (bound lifted)
-# --r-set 4000 40 s, det --kind k-step-fibonacci --r 1000 -n 10 0.4 s (Python
+# grows with r: in process, verify --r-set 1000 takes 1.2 s and (bound lifted)
+# --r-set 4000 16 s, det --kind k-step-fibonacci --r 1000 -n 10 0.2 s (Python
 # 3.11, shared 2-vCPU host); r near 10**20 cannot even allocate its seed block
 MAX_R = 1000
 
@@ -161,21 +162,34 @@ class CFinite:
             raise ValueError("coefficient index must be nonnegative, got %d" % n)
         num, den = self.num, self.den
         while n:
-            twin = [c if i % 2 == 0 else -c for i, c in enumerate(den)]
+            twin = _twin(den)
             num = _convolve(num, twin, n % 2, 2)
             den = _convolve(den, twin, 0, 2)
             n //= 2
         return num[0] if num else 0
 
 
+def _twin(p: Sequence[int]) -> List[int]:
+    """p(-x)."""
+    return [c if i % 2 == 0 else -c for i, c in enumerate(p)]
+
+
 def multisected_den(den: Sequence[int], s: int) -> List[int]:
     """R with R(x^s) = the product of den(w x) over the s-th roots of unity w, den(0) = 1.
 
     The coefficients 0, s, 2s, ... of any series over den obey R's
-    recurrence.  R is found from Newton power sums: the power sums of R are
-    those of den at multiples of s.
+    recurrence.  Multisecting at 2t is multisecting at 2, then at t, and at
+    2 R(x^2) = den(x) den(-x): each factor 2 of s is one O(L^2) Graeffe
+    step, the one CFinite.at takes at each halving.  For the odd part of s
+    that is left, R is found from Newton power sums: the power sums of R
+    are those of den at multiples of s.
     """
+    if s < 1:  # s = 0 would never leave the halving loop
+        raise ValueError("multisection step must be positive, got %d" % s)
     q = list(den)
+    while s % 2 == 0:
+        q = _convolve(q, _twin(q), 0, 2)
+        s //= 2
     if s == 1:
         return q
     order = len(q) - 1

@@ -303,7 +303,11 @@ def test_det_default_route_makes_no_entry(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "extra", [["--format", "json"], ["--method", "all"], ["--method", "dense", "--format", "csv"]]
+    "extra",
+    [["--format", "json"], ["--method", "all"], ["--method", "dense", "--format", "csv"]]
+    + [["--method", method] for method in ("trudi-partitions", "trudi-compositions")]
+    + [["--method", method, "--format", "json"] for method in cli_module._DET_METHODS]
+    + [["--method", "all", "--format", fmt] for fmt in ("json", "csv")],
 )
 def test_det_json_and_other_methods_still_build_entries(extra, capsys, monkeypatch):
     calls = []
@@ -315,7 +319,8 @@ def test_det_json_and_other_methods_still_build_entries(extra, capsys, monkeypat
     monkeypatch.setattr(cli_module, "make_entries", spy)
     assert run(list(_DET14) + extra) == 0
     assert capsys.readouterr().out
-    assert calls and set(calls) == {(EntryRule(SequenceKind("tribonacci"), 3, 2, 1), 14)}
+    # once per command, however many methods and formats read the entries
+    assert calls == [(EntryRule(SequenceKind("tribonacci"), 3, 2, 1), 14)]
 
 
 def test_tilings_count_and_enumeration(capsys):
@@ -376,7 +381,11 @@ def test_gf_plain_and_default_order(capsys):
 
 def test_gf_errors(capsys):
     assert run(["gf", "--family", "i22", "--terms", "4"]) == 2  # needs --r
-    assert run(["gf", "--family", "nonesuch", "--r", "3", "--terms", "4"]) == 2
+    assert capsys.readouterr().err == "error: family 'i22' requires --r\n"
+    # gf_catalog's refusal, with or without --r
+    for order in (["--r", "3"], []):
+        assert run(["gf", "--family", "nonesuch", "--terms", "4"] + order) == 2
+        assert capsys.readouterr() == ("", "error: unknown gf family 'nonesuch'\n")
     assert run(["gf", "--family", "i23", "--r", "4", "--terms", "4"]) == 2
     capsys.readouterr()
 
@@ -503,6 +512,44 @@ def test_streamed_verify_equals_the_whole_document(
     code = run(["verify"] + argv + ["--format", fmt])
     assert capsys.readouterr().out == expected
     assert code == (1 if forged else 0)
+
+
+_DET_TRIB = ("det", "--a0", "1", "--kind", "tribonacci", "--start", "0", "--stride", "1", "-n")
+
+
+@pytest.mark.parametrize(
+    "argv, forged",
+    [
+        (("seq", "tribonacci", "--from", "7", "--to", "7"), False),
+        (("seq", "tribonacci", "--from", "0", "--to", str(3 * _SEQ_BATCH + 5)), False),
+        (_DET14, False),
+        (_DET14 + ("--method", "trudi-partitions"), False),
+        (_DET14 + ("--method", "trudi-compositions"), False),
+        (_DET14 + ("--method", "dense"), False),
+        (_DET14 + ("--method", "all"), False),
+        (_DET_TRIB + (str(3 * _SEQ_BATCH + 5),), False),
+        (_TILINGS, False),
+        (_TILINGS + ("--enumerate",), False),
+        (("tilings", "--length", "1", "--pieces", "2,3", "--enumerate"), False),
+        (("tilings", "--length", "12", "--pieces", "2:2,1", "--enumerate"), False),
+        (("gf", "--family", "i24", "--terms", "4"), False),
+        (_GF, False),
+        (("gf", "--family", "i29", "--r", "4", "--terms", str(3 * _SEQ_BATCH + 1)), False),
+        (_VERIFY, False),
+        (("verify", "--nmax", "30", "--fail-fast"), False),
+        (("verify", "--r-set", "3,4,5,6,7", "--nmax", "9"), True),
+        (("verify", "--r-set", "3,4,5,6,7", "--nmax", "9", "--fail-fast"), True),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else ("forged" if v else "registry"),
+)
+def test_json_output_is_what_json_dumps_writes(argv, forged, capsys, monkeypatch):
+    if forged:
+        monkeypatch.setattr(identities_module, "registry", _failing_registry)
+    assert run(list(argv) + ["--format", "json"]) == (1 if forged else 0)
+    out = capsys.readouterr().out
+    # split at json.dumps' item separator, so that a failure names the first
+    # differing piece quickly rather than diffing one long line
+    assert out.split(", ") == (json.dumps(json.loads(out)) + "\n").split(", ")
 
 
 @pytest.mark.parametrize("ids", ["I-99", "I-01,I-99", "I-36,I-99"])

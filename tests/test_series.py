@@ -3,7 +3,7 @@
 from typing import Dict, List
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tridet import (
@@ -12,7 +12,14 @@ from tridet import (
     expand_rational,
     gf_catalog,
 )
-from tridet.sequences import MAX_R, SequenceKind, family_den
+from tridet.sequences import (
+    FIXED_FAMILIES,
+    MAX_R,
+    PARAMETRIC_FAMILIES,
+    SequenceKind,
+    family_den,
+    order_refusal,
+)
 from tridet.series import _convolve, _plus, multisected_den
 
 
@@ -119,7 +126,10 @@ def test_negative_shift_matches_the_hand_built_numerator(num, den_tail, k):
 
 
 def _reference_multisected_den(den, s):
-    """multisected_den with den's power sums stepped by their own double loop."""
+    """multisected_den by Newton power sums alone, for every s, even ones too.
+
+    den's power sums are stepped by their own double loop.
+    """
     q = list(den)
     if s == 1:
         return q
@@ -138,10 +148,19 @@ def _reference_multisected_den(den, s):
     return out
 
 
-@given(st.lists(st.integers(-6, 6), max_size=6), st.integers(1, 6))
+@given(
+    st.one_of(
+        st.lists(st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3)), max_size=12),  # sparse
+        st.lists(st.integers(-6, 6), max_size=12),  # dense
+    ),
+    st.integers(1, 8),
+)
+@settings(max_examples=300)
 @example([], 1)  # den = (1,)
 @example([], 4)
 @example([0, 2, 0], 3)  # a gap and a trailing zero
+@example([0, 2, 0], 8)  # three Graeffe steps
+@example([0] * 11 + [1], 6)  # 1 + x^12, one Graeffe step, then Newton
 def test_multisected_den_matches_the_power_sum_loop(den_tail, s):
     den = [1] + den_tail
     assert multisected_den(den, s) == _reference_multisected_den(den, s)
@@ -152,6 +171,32 @@ def test_multisected_den_matches_the_power_sum_loop_on_k_step_fibonacci(r):
     den = family_den(SequenceKind("k-step-fibonacci", r))
     for s in range(1, 7):
         assert multisected_den(den, s) == _reference_multisected_den(den, s), s
+
+
+def test_multisected_den_matches_the_power_sum_loop_on_every_family():
+    # every family at every in-domain order up to 40 with s = 1..8, and at
+    # 999 and 1000 with the registry's even stride, where Graeffe steps run
+    kinds = [SequenceKind(family) for family in FIXED_FAMILIES] + [
+        SequenceKind(family, r)
+        for family in PARAMETRIC_FAMILIES
+        for r in range(2, 41)
+        if order_refusal(family, r) is None
+    ]
+    for kind in kinds:
+        den = family_den(kind)
+        for s in range(1, 9):
+            assert multisected_den(den, s) == _reference_multisected_den(den, s), (kind, s)
+    large = [SequenceKind(family, r) for family in PARAMETRIC_FAMILIES for r in (999, 1000)
+             if order_refusal(family, r) is None]
+    assert len(large) == 11
+    for kind in large:
+        den = family_den(kind)
+        assert multisected_den(den, 2) == _reference_multisected_den(den, 2), kind
+
+
+def test_multisected_den_refuses_a_step_below_one():
+    with pytest.raises(ValueError, match="multisection step must be positive, got 0"):
+        multisected_den([1, -1, -1], 0)
 
 
 def test_expand_worked_examples():
