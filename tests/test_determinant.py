@@ -1,5 +1,8 @@
 """Determinant evaluators: worked values, mutual agreement, caps, validation."""
 
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,7 +22,7 @@ from tridet import (
     partitions,
 )
 from tridet import determinant
-from tridet.determinant import COMPOSITION_CAP, DENSE_CAP, TRUDI_PARTITION_CAP
+from tridet.determinant import COMPOSITION_CAP, DENSE_CAP, TRUDI_PARTITION_CAP, _signed_powers
 
 ALL_METHODS = (det_recurrence, det_trudi_partitions, det_trudi_compositions, det_dense)
 
@@ -59,6 +62,35 @@ def _reference_trudi_compositions(spec):
             weight = -weight
         total += weight
     return total
+
+
+def _reference_composition_walk(spec):
+    """det_trudi_compositions as a recursive walk over prefixes, one frame per node."""
+    n = spec.n
+    if n == 0:
+        return 1
+    if n > COMPOSITION_CAP:
+        raise ValueError("composition expansion capped at n = %d, got %d" % (COMPOSITION_CAP, n))
+    if spec.a0 not in (1, -1):
+        raise ValueError("composition expansion requires a0 in {1, -1}, got %d" % spec.a0)
+    # part x weighs (-a0)^(x-1) * a_x
+    part = [0] + [s * e for s, e in zip(_signed_powers(spec.a0, n), spec.entries)]
+    total = 0
+
+    def walk(w: int, weight: int) -> None:
+        # weight = product over the prefix's parts; w is what is left of n
+        nonlocal total
+        for x in range(1, w):
+            walk(w - x, weight * part[x])
+        total += weight * part[w]
+
+    walk(n, 1)
+    return total
+
+
+def _seeded_spec(a0, n, seed):
+    rng = random.Random(seed)
+    return HessenbergSpec(a0, tuple(rng.randint(-9, 9) for _ in range(n)))
 
 
 def test_spec_validation():
@@ -183,12 +215,37 @@ def test_partition_walk_reads_the_partition_sum(a0, entries):
     st.lists(st.integers(-9, 9), min_size=1, max_size=14),
 )
 @example(-1, [5])
+@example(1, [7])
 @example(1, [0] * 7)
+@example(-1, [0] * 14)
 @example(-1, [0, 4, -2, 7, 1, -9])
 @settings(max_examples=80, deadline=None)
 def test_composition_walk_reads_the_composition_sum(a0, entries):
+    # the level table against the walk it replaced and against the plain composition sum
     spec = HessenbergSpec(a0, tuple(entries))
-    assert det_trudi_compositions(spec) == _reference_trudi_compositions(spec)
+    value = det_trudi_compositions(spec)
+    assert value == _reference_composition_walk(spec)
+    assert value == _reference_trudi_compositions(spec)
+
+
+def test_composition_table_at_its_cap_with_large_products():
+    # entries in -9..9 make products past the small-int cache, unlike tribonacci's
+    for a0, seed in ((1, 1), (-1, 2)):
+        spec = _seeded_spec(a0, COMPOSITION_CAP, seed)
+        assert det_trudi_compositions(spec) == det_prefixes(spec)[-1]
+
+
+def test_composition_table_memory_at_its_cap():
+    # the table holds 2^(n-1) weights; at the cap with entries in -9..9 its traced
+    # peak measured 21.3 MB (Python 3.11), and the bound is 1.5 times that
+    spec = _seeded_spec(-1, COMPOSITION_CAP, 3)
+    tracemalloc.start()
+    try:
+        det_trudi_compositions(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 10**6
 
 
 def test_oracle_routes_at_their_caps():

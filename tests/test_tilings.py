@@ -1,5 +1,6 @@
 """Tiling counts, exhaustive enumeration, and sequence correspondences."""
 
+import gc
 import tracemalloc
 from typing import List, Tuple
 
@@ -16,6 +17,7 @@ from tridet import (
     seq_term,
     uncolored,
 )
+from tridet import tilings
 from tridet.series import CFinite, tiling_den
 from tridet.tilings import ENUMERATION_CAP
 
@@ -234,3 +236,50 @@ def test_enumeration_builds_only_levels_that_end_a_tiling():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.fixture
+def collector_state():
+    """Restores the collector's state after a test that switches it."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_enumeration_leaves_the_collector_as_it_found_it(collector_state, enabled):
+    pieces = PieceSet(((1, 2), (3, 1)))
+    gc.enable()
+    expected = enumerate_tilings(12, pieces)
+    assert gc.isenabled()
+    if not enabled:
+        gc.disable()
+    assert enumerate_tilings(12, pieces) == expected
+    assert gc.isenabled() == enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_enumeration_restores_the_collector_when_the_build_raises(
+    collector_state, monkeypatch, enabled
+):
+    seen = []
+
+    def failing_sorted(items):
+        # sorted(pieces.pieces) gets a tuple before the pause, the level set inside it
+        if isinstance(items, set):
+            seen.append(gc.isenabled())
+            raise RuntimeError("build interrupted")
+        return sorted(items)
+
+    monkeypatch.setattr(tilings, "sorted", failing_sorted, raising=False)
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    with pytest.raises(RuntimeError, match="build interrupted"):
+        enumerate_tilings(10, uncolored(1, 2))
+    assert seen == [False]  # the collector was paused when the build raised
+    assert gc.isenabled() == enabled
